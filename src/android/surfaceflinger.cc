@@ -22,6 +22,7 @@ SurfaceFlinger::createLayer(const std::string &owner, std::uint32_t width,
     layer.id = nextLayerId_++;
     layer.owner = owner;
     layer.bufferId = buf->id;
+    layer.ownedBufferId = buf->id;
     layer.z = z;
     layers_[layer.id] = layer;
     return layer.id;
@@ -43,8 +44,17 @@ SurfaceFlinger::setLayerBuffer(int layer_id, std::uint32_t buffer_id)
 void
 SurfaceFlinger::removeLayer(int layer_id)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    layers_.erase(layer_id);
+    std::uint32_t owned = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = layers_.find(layer_id);
+        if (it == layers_.end())
+            return;
+        owned = it->second.ownedBufferId;
+        layers_.erase(it);
+    }
+    if (owned)
+        gpu_.buffers().destroy(owned);
 }
 
 void
@@ -108,6 +118,7 @@ SurfaceFlinger::layersOwnedBy(const std::string &owner_prefix) const
 int
 SurfaceFlinger::composeFrame(binfmt::UserEnv &env)
 {
+    std::lock_guard<std::mutex> frame(composeMu_);
     // Build one composition pass: sample each visible layer as a
     // textured quad into the scanout target.
     std::vector<gpu::GpuCommand> cmds;
@@ -143,7 +154,6 @@ SurfaceFlinger::composeFrame(binfmt::UserEnv &env)
             static_cast<std::uintptr_t>(scanout_->id)));
     if (!r.ok())
         warn("surfaceflinger: present failed with errno ", r.err);
-    std::lock_guard<std::mutex> lock(mu_);
     ++frames_;
     return composed;
 }

@@ -14,6 +14,7 @@
 #ifndef CIDER_ANDROID_SURFACEFLINGER_H
 #define CIDER_ANDROID_SURFACEFLINGER_H
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
@@ -31,6 +32,9 @@ class SurfaceFlinger
         int id = 0;
         std::string owner;
         std::uint32_t bufferId = 0;
+        /** The window memory createLayer allocated; removeLayer frees
+         *  it. An attached IOSurface stays its client's. */
+        std::uint32_t ownedBufferId = 0;
         int z = 0;
         bool visible = true;
         bool dirty = false;
@@ -45,6 +49,7 @@ class SurfaceFlinger
     /** Attach client-allocated memory (an IOSurface) to a layer. */
     bool setLayerBuffer(int layer_id, std::uint32_t buffer_id);
 
+    /** Drop a layer and free the window memory createLayer gave it. */
     void removeLayer(int layer_id);
     void setVisible(int layer_id, bool visible);
 
@@ -61,7 +66,9 @@ class SurfaceFlinger
 
     /**
      * Compose all visible layers into the scanout buffer and present
-     * it to the framebuffer. Runs on the calling simulated thread.
+     * it to the framebuffer. Runs on the calling simulated thread;
+     * frames from several threads compose one at a time, since the
+     * scanout and its damage state are shared.
      * @return number of layers composed.
      */
     int composeFrame(binfmt::UserEnv &env);
@@ -69,16 +76,18 @@ class SurfaceFlinger
     /** Copy of a layer's pixels (recents-list screenshots). */
     gpu::GraphicsBuffer screenshot(int layer_id) const;
 
-    std::uint64_t framesComposed() const { return frames_; }
+    std::uint64_t framesComposed() const { return frames_.load(); }
 
   private:
     gpu::SimGpu &gpu_;
     gpu::FramebufferDevice &fb_;
     gpu::BufferPtr scanout_;
+    /** Held by composeFrame from building the pass through present. */
+    std::mutex composeMu_;
     mutable std::mutex mu_;
     std::map<int, Layer> layers_;
     int nextLayerId_ = 1;
-    std::uint64_t frames_ = 0;
+    std::atomic<std::uint64_t> frames_{0};
 };
 
 } // namespace cider::android

@@ -1476,6 +1476,7 @@ takeLeakSnapshot(CiderSystem &sys)
     kernel::NetStats net = sys.kernel().net().stats();
     snap.netSocketsLive = net.socketsLive;
     snap.netBufferedBytes = net.bufferedBytes;
+    snap.gpuBuffersLive = sys.gpu().buffers().liveCount();
     return snap;
 }
 
@@ -1504,6 +1505,7 @@ leakAuditClean(const LeakSnapshot &before, const LeakSnapshot &after,
     drift("netSockets", before.netSocketsLive, after.netSocketsLive);
     drift("netBufferedBytes", before.netBufferedBytes,
           after.netBufferedBytes);
+    drift("gpuBuffers", before.gpuBuffersLive, after.gpuBuffersLive);
     if (why)
         *why = detail;
     return detail.empty();

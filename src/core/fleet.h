@@ -112,6 +112,7 @@ struct LeakSnapshot
     std::size_t blockedWaits = 0; ///< waits parked > 250ms host time
     std::uint64_t netSocketsLive = 0;   ///< bound/connected AF_INET
     std::uint64_t netBufferedBytes = 0; ///< bytes in socket buffers
+    std::size_t gpuBuffersLive = 0;     ///< gralloc/IOSurface buffers
 };
 
 LeakSnapshot takeLeakSnapshot(CiderSystem &sys);

@@ -1,9 +1,52 @@
 #include "gpu/sim_gpu.h"
 
+#include <algorithm>
+
 #include "base/cost_clock.h"
 #include "base/logging.h"
 
 namespace cider::gpu {
+
+namespace {
+
+/** Call @p fn(i) for each index of @p run below @p limit. */
+template <typename Fn>
+void
+forEachIndex(const PixelRun &run, std::size_t limit, Fn fn)
+{
+    std::size_t i = run.start;
+    for (std::uint32_t k = 0; k < run.count && i < limit;
+         ++k, i += run.stride)
+        fn(i);
+}
+
+} // namespace
+
+void
+Damage::add(const PixelRun &run)
+{
+    if (all_ || run.count == 0)
+        return;
+    for (std::size_t k = 0; k < n_; ++k)
+        if (runs_[k] == run)
+            return;
+    if (n_ == kMaxRuns) {
+        markAll();
+        return;
+    }
+    runs_[n_++] = run;
+}
+
+void
+Damage::add(const Damage &other)
+{
+    if (other.all_) {
+        markAll();
+        return;
+    }
+    for (const PixelRun &run : other)
+        add(run);
+}
 
 BufferPtr
 BufferManager::create(std::uint32_t width, std::uint32_t height)
@@ -65,17 +108,35 @@ SimGpu::execute(const GpuCommand &cmd)
                   v = 1;
               return static_cast<std::uint32_t>(v * 255.0);
           };
-          clearColor_ = 0xff000000 | (chan(cmd.f0) << 16) |
-                        (chan(cmd.f1) << 8) | chan(cmd.f2);
+          clearColor_.store(0xff000000 | (chan(cmd.f0) << 16) |
+                                (chan(cmd.f1) << 8) | chan(cmd.f2),
+                            std::memory_order_relaxed);
           break;
       }
       case GpuOp::Clear: {
           BufferPtr buf = buffers_.find(cmd.target);
           if (buf) {
+              // The charge is for the whole buffer whatever the host
+              // rewrites: only the damage since a fill of the same
+              // colour can differ from the clear colour.
               charge(buf->pixels.size() * profile_.gpuPerFragmentPs /
                      1000);
-              std::fill(buf->pixels.begin(), buf->pixels.end(),
-                        clearColor_);
+              std::uint32_t colour =
+                  clearColor_.load(std::memory_order_relaxed);
+              if (!buf->sinceFill.all() && buf->fillColour == colour) {
+                  for (const PixelRun &run : buf->sinceFill)
+                      forEachIndex(run, buf->pixels.size(),
+                                   [&](std::size_t i) {
+                                       buf->pixels[i] = colour;
+                                   });
+                  buf->sincePresent.add(buf->sinceFill);
+              } else {
+                  std::fill(buf->pixels.begin(), buf->pixels.end(),
+                            colour);
+                  buf->fillColour = colour;
+                  buf->sincePresent.markAll();
+              }
+              buf->sinceFill.reset();
               std::lock_guard<std::mutex> lock(mu_);
               stats_.fragments += buf->pixels.size();
           }
@@ -90,14 +151,18 @@ SimGpu::execute(const GpuCommand &cmd)
               fragments = std::min<std::uint64_t>(fragments,
                                                   buf->pixels.size());
               charge(fragments * profile_.gpuPerFragmentPs / 1000);
-              // Touch a deterministic pixel pattern so tests can see
-              // that the draw landed.
-              std::size_t stride =
-                  std::max<std::size_t>(1, buf->pixels.size() /
-                                               (fragments + 1));
-              for (std::size_t i = 0; i < buf->pixels.size();
-                   i += stride)
+              // Touch a deterministic strided run of pixels so tests
+              // can see that the draw landed; the run is its damage.
+              std::size_t n = buf->pixels.size();
+              PixelRun run;
+              run.stride = static_cast<std::uint32_t>(
+                  std::max<std::size_t>(1, n / (fragments + 1)));
+              run.count = static_cast<std::uint32_t>(
+                  n == 0 ? 0 : (n - 1) / run.stride + 1);
+              forEachIndex(run, n, [&](std::size_t i) {
                   buf->pixels[i] ^= 0x00ffffff & (0x9e3779b9u + i);
+              });
+              buf->damage(run);
           } else {
               charge(fragments * profile_.gpuPerFragmentPs / 1000);
           }
@@ -200,20 +265,9 @@ kernel::SyscallResult
 FramebufferDevice::ioctl(kernel::Thread &, std::uint64_t req, void *arg)
 {
     switch (req) {
-      case kIoctlPresent: {
-          std::uint32_t buf_id =
-              static_cast<std::uint32_t>(reinterpret_cast<std::uintptr_t>(arg));
-          BufferPtr buf = gpu_.buffers().find(buf_id);
-          if (!buf)
-              return kernel::SyscallResult::failure(kernel::lnx::INVAL);
-          charge(std::min(front_.pixels.size(), buf->pixels.size()) *
-                 gpu_.profile().gpuPerFragmentPs / 1000);
-          std::size_t n =
-              std::min(front_.pixels.size(), buf->pixels.size());
-          std::copy_n(buf->pixels.begin(), n, front_.pixels.begin());
-          ++presents_;
-          return kernel::SyscallResult::success();
-      }
+      case kIoctlPresent:
+        return present(static_cast<std::uint32_t>(
+            reinterpret_cast<std::uintptr_t>(arg)));
       case kIoctlGetInfo: {
           auto *info = static_cast<FbInfo *>(arg);
           if (!info)
@@ -225,6 +279,33 @@ FramebufferDevice::ioctl(kernel::Thread &, std::uint64_t req, void *arg)
       default:
         return kernel::SyscallResult::failure(kernel::lnx::INVAL);
     }
+}
+
+kernel::SyscallResult
+FramebufferDevice::present(std::uint32_t buf_id)
+{
+    BufferPtr buf = gpu_.buffers().find(buf_id);
+    if (!buf)
+        return kernel::SyscallResult::failure(kernel::lnx::INVAL);
+    std::lock_guard<std::mutex> lock(mu_);
+    std::size_t n = std::min(front_.pixels.size(), buf->pixels.size());
+    charge(n * gpu_.profile().gpuPerFragmentPs / 1000);
+    // The front buffer still holds this buffer's previous present
+    // unless another buffer (or another presenter) came in between.
+    if (buf->id == lastId_ && buf->presentSeq == lastSeq_ &&
+        !buf->sincePresent.all()) {
+        for (const PixelRun &run : buf->sincePresent)
+            forEachIndex(run, n, [&](std::size_t i) {
+                front_.pixels[i] = buf->pixels[i];
+            });
+    } else {
+        std::copy_n(buf->pixels.begin(), n, front_.pixels.begin());
+    }
+    buf->sincePresent.reset();
+    lastId_ = buf->id;
+    lastSeq_ = ++buf->presentSeq;
+    ++presents_;
+    return kernel::SyscallResult::success();
 }
 
 } // namespace cider::gpu

@@ -20,6 +20,8 @@
 #ifndef CIDER_GPU_SIM_GPU_H
 #define CIDER_GPU_SIM_GPU_H
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -31,7 +33,52 @@
 
 namespace cider::gpu {
 
-/** A shareable graphics memory buffer (gralloc / IOSurface backing). */
+/** Pixel indices start, start + stride, ... (@c count of them). */
+struct PixelRun
+{
+    std::uint32_t start = 0;
+    std::uint32_t stride = 1;
+    std::uint32_t count = 0;
+
+    bool operator==(const PixelRun &) const = default;
+};
+
+/**
+ * The pixels written since some reference point, as a short list of
+ * strided runs. Once the list would overflow it collapses to "the
+ * whole buffer", which is always a safe over-approximation.
+ */
+class Damage
+{
+  public:
+    static constexpr std::size_t kMaxRuns = 16;
+
+    void add(const PixelRun &run);
+    void add(const Damage &other);
+    void markAll() { all_ = true; n_ = 0; }
+    void reset() { all_ = false; n_ = 0; }
+
+    bool all() const { return all_; }
+    const PixelRun *begin() const { return runs_.data(); }
+    const PixelRun *end() const { return runs_.data() + n_; }
+
+  private:
+    std::array<PixelRun, kMaxRuns> runs_{};
+    std::size_t n_ = 0;
+    bool all_ = false;
+};
+
+/**
+ * A shareable graphics memory buffer (gralloc / IOSurface backing).
+ *
+ * Besides its pixels, a buffer carries the damage state that lets a
+ * Clear or a present touch only what changed: the colour of its last
+ * full fill, the runs written since that fill, and the runs written
+ * since it was last presented. SimGpu and FramebufferDevice keep that
+ * state. Anything else that writes @c pixels directly must call
+ * dropDamage() afterwards, so the next Clear and present fall back to
+ * a full fill and a full copy.
+ */
 struct GraphicsBuffer
 {
     std::uint32_t id = 0;
@@ -39,7 +86,30 @@ struct GraphicsBuffer
     std::uint32_t height = 0;
     std::vector<std::uint32_t> pixels;
 
+    /** Every pixel not in @c sinceFill holds this colour. */
+    std::uint32_t fillColour = 0;
+    Damage sinceFill;
+    Damage sincePresent;
+    /** Bumped by every present; lets a presenter tell whether its
+     *  copy of this buffer is still the latest one. */
+    std::uint64_t presentSeq = 0;
+
     std::size_t sizeBytes() const { return pixels.size() * 4; }
+
+    /** Record a SimGpu write of @p run. */
+    void damage(const PixelRun &run)
+    {
+        sinceFill.add(run);
+        sincePresent.add(run);
+    }
+
+    /** The direct-write contract: call after writing @c pixels from
+     *  outside SimGpu. */
+    void dropDamage()
+    {
+        sinceFill.markAll();
+        sincePresent.markAll();
+    }
 };
 
 using BufferPtr = std::shared_ptr<GraphicsBuffer>;
@@ -127,7 +197,7 @@ class SimGpu
     mutable std::mutex mu_;
     GpuStats stats_;
     std::map<std::uint64_t, bool> fences_;
-    std::uint32_t clearColor_ = 0xff000000;
+    std::atomic<std::uint32_t> clearColor_{0xff000000};
     bool fenceBug_ = false;
 };
 
@@ -164,7 +234,9 @@ struct CreateBufferArgs
 
 /**
  * The Linux framebuffer driver (the Nexus 7 display). Presenting
- * copies a buffer to the scanout front buffer.
+ * copies a buffer to the scanout front buffer: in full the first time
+ * a buffer is presented, and afterwards only the runs written since
+ * its previous present, as long as no other buffer came in between.
  */
 class FramebufferDevice : public kernel::Device
 {
@@ -178,15 +250,23 @@ class FramebufferDevice : public kernel::Device
     kernel::SyscallResult ioctl(kernel::Thread &t, std::uint64_t req,
                                 void *arg) override;
 
+    /** Read only while no present is in flight. */
     const GraphicsBuffer &frontBuffer() const { return front_; }
-    std::uint64_t presentCount() const { return presents_; }
+    std::uint64_t presentCount() const { return presents_.load(); }
     std::uint32_t width() const { return front_.width; }
     std::uint32_t height() const { return front_.height; }
 
   private:
+    kernel::SyscallResult present(std::uint32_t buf_id);
+
     SimGpu &gpu_;
+    std::mutex mu_; ///< guards front_ pixels and the cursor below
     GraphicsBuffer front_;
-    std::uint64_t presents_ = 0;
+    /// @{ The last buffer presented and its presentSeq at that time.
+    std::uint32_t lastId_ = 0;
+    std::uint64_t lastSeq_ = 0;
+    /// @}
+    std::atomic<std::uint64_t> presents_{0};
 };
 
 /** Argument block for FramebufferDevice::kIoctlGetInfo. */

@@ -130,6 +130,7 @@ TEST_F(GpuTest, FramebufferPresentCopiesPixels)
 
     BufferPtr buf = gpu_.buffers().create(32, 32);
     std::fill(buf->pixels.begin(), buf->pixels.end(), 0x12345678u);
+    buf->dropDamage();
     ASSERT_TRUE(fb.ioctl(t, FramebufferDevice::kIoctlPresent,
                          reinterpret_cast<void *>(
                              static_cast<std::uintptr_t>(buf->id)))

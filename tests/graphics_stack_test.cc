@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "android/egl.h"
 #include "android/gles.h"
 #include "android/gralloc.h"
@@ -15,6 +17,7 @@
 #include "ios/dyld.h"
 #include "ios/eagl.h"
 #include "ios/iosurface_lib.h"
+#include "kernel/percpu.h"
 
 namespace cider {
 namespace {
@@ -222,6 +225,103 @@ TEST(GraphicsStack, IpadUsesNativeAppleLibraries)
     EXPECT_GE(sys.gpu().stats().vertices, 50u);
     // Native path: no persona switching on an Apple device.
     EXPECT_EQ(sys.personaManager()->personaSwitches(), 0u);
+}
+
+TEST(GraphicsStack, ConcurrentAppsComposeEveryFrame)
+{
+    // Four apps, both personas, render at once from pool workers. Each
+    // frame must reach its own surface and be composed exactly once.
+    SystemOptions opts;
+    opts.config = SystemConfig::CiderIos;
+    CiderSystem sys(opts);
+    constexpr int kApps = 4;
+    constexpr int kFrames = 12;
+
+    struct App
+    {
+        bool ios = false;
+        kernel::Thread *thread = nullptr;
+        std::unique_ptr<binfmt::UserEnv> env;
+        const binfmt::LibraryImage *ctx = nullptr;
+        const binfmt::LibraryImage *gles = nullptr;
+        std::int64_t surface = 0;
+    };
+    std::vector<App> apps(kApps);
+    for (int i = 0; i < kApps; ++i) {
+        App &a = apps[i];
+        a.ios = i % 2 == 0;
+        kernel::Process &proc = sys.kernel().createProcess(
+            "glapp" + std::to_string(i),
+            a.ios ? kernel::Persona::Ios : kernel::Persona::Android);
+        a.thread = &proc.mainThread();
+        kernel::ThreadScope scope(*a.thread);
+        a.env = std::make_unique<binfmt::UserEnv>(
+            binfmt::UserEnv{sys.kernel(), *a.thread, {}});
+        if (a.ios) {
+            a.ctx = sys.iosLibraries().find("EAGL.dylib");
+            a.gles = sys.iosLibraries().find("OpenGLES.dylib");
+            a.surface = binfmt::valueI64(
+                callSym(a.ctx, ios::kEaglCreateContext, *a.env,
+                        {std::int64_t{64}, std::int64_t{64}}));
+            callSym(a.ctx, ios::kEaglSetCurrent, *a.env, {a.surface});
+        } else {
+            a.ctx = sys.androidLibraries().find("libEGL.so");
+            a.gles = sys.androidLibraries().find("libGLESv2.so");
+            callSym(a.ctx, "eglInitialize", *a.env, {});
+            a.surface = binfmt::valueI64(
+                callSym(a.ctx, "eglCreateWindowSurface", *a.env,
+                        {std::int64_t{64}, std::int64_t{64}}));
+            callSym(a.ctx, "eglMakeCurrent", *a.env, {a.surface});
+        }
+        ASSERT_GT(a.surface, 0);
+    }
+
+    auto surfacePixels = [&sys](App &a) {
+        const android::EglState &st = android::eglState(*a.env);
+        gpu::BufferPtr buf = sys.gpu().buffers().find(
+            st.surfaces.at(static_cast<int>(a.surface)).bufferId);
+        return buf ? buf->pixels : std::vector<std::uint32_t>{};
+    };
+
+    std::uint64_t frames0 = sys.surfaceFlinger().framesComposed();
+    std::uint64_t presents0 = sys.framebuffer().presentCount();
+    std::atomic<int> unchanged{0};
+    kernel::ExecutorPool pool(sys.kernel().percpu(), kApps);
+    unsigned ncpus = sys.kernel().percpu().count();
+    for (int i = 0; i < kApps; ++i) {
+        App *a = &apps[i];
+        pool.submitOn(i % ncpus, [a, &surfacePixels, &unchanged] {
+            kernel::ThreadScope scope(*a->thread);
+            std::uint64_t v0 = a->thread->clock().now();
+            std::vector<std::uint32_t> last = surfacePixels(*a);
+            for (int f = 0; f < kFrames; ++f) {
+                std::int64_t vertices = f % 2 ? 36 : 24;
+                callSym(a->gles, "glClearColor", *a->env,
+                        {0.1, 0.2, 0.3, 1.0});
+                callSym(a->gles, "glClear", *a->env, {std::int64_t{0x4000}});
+                callSym(a->gles, "glDrawArrays", *a->env,
+                        {std::int64_t{4}, std::int64_t{0}, vertices});
+                if (a->ios)
+                    callSym(a->ctx, ios::kEaglPresent, *a->env,
+                            {a->surface});
+                else
+                    callSym(a->ctx, "eglSwapBuffers", *a->env,
+                            {a->surface});
+                std::vector<std::uint32_t> now = surfacePixels(*a);
+                if (now == last)
+                    ++unchanged;
+                last = std::move(now);
+            }
+            return a->thread->clock().now() - v0;
+        });
+    }
+    pool.runAll();
+
+    EXPECT_EQ(unchanged.load(), 0);
+    EXPECT_EQ(sys.surfaceFlinger().framesComposed() - frames0,
+              std::uint64_t{kApps} * kFrames);
+    EXPECT_EQ(sys.framebuffer().presentCount() - presents0,
+              std::uint64_t{kApps} * kFrames);
 }
 
 } // namespace

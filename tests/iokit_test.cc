@@ -157,6 +157,7 @@ TEST_F(IoKitFixture, AppleM2CLCDPresentsThroughLinuxDriver)
 
     gpu::BufferPtr buf = gpu_.buffers().create(64, 64);
     std::fill(buf->pixels.begin(), buf->pixels.end(), 0xff00ff00u);
+    buf->dropDamage();
 
     kernel::Process &proc = kernel_.createProcess("caller");
     kernel::ThreadScope scope(proc.mainThread());

@@ -64,6 +64,28 @@ TEST_F(FlingerTest, AttachClientBufferZeroCopy)
     EXPECT_FALSE(flinger_.setLayerBuffer(0x999, iosurface->id));
 }
 
+TEST_F(FlingerTest, RemoveLayerFreesOwnedBufferKeepsAttached)
+{
+    std::size_t live0 = gpu_.buffers().liveCount();
+    int window = flinger_.createLayer("window", 16, 16);
+    std::uint32_t window_buf = flinger_.layerBuffer(window)->id;
+    EXPECT_EQ(gpu_.buffers().liveCount(), live0 + 1);
+    flinger_.removeLayer(window);
+    EXPECT_EQ(gpu_.buffers().find(window_buf), nullptr);
+    EXPECT_EQ(gpu_.buffers().liveCount(), live0);
+
+    // An attached IOSurface belongs to its client; the window memory
+    // the layer was created with is still the layer's to free.
+    int attached = flinger_.createLayer("ios-app", 16, 16);
+    std::uint32_t own_buf = flinger_.layerBuffer(attached)->id;
+    gpu::BufferPtr iosurface = gpu_.buffers().create(16, 16);
+    ASSERT_TRUE(flinger_.setLayerBuffer(attached, iosurface->id));
+    flinger_.removeLayer(attached);
+    EXPECT_EQ(gpu_.buffers().find(iosurface->id), iosurface);
+    EXPECT_EQ(gpu_.buffers().find(own_buf), nullptr);
+    EXPECT_EQ(gpu_.buffers().liveCount(), live0 + 1);
+}
+
 TEST_F(FlingerTest, ComposeCountsVisibleLayersOnly)
 {
     int a = flinger_.createLayer("a", 8, 8);
@@ -82,6 +104,7 @@ TEST_F(FlingerTest, ComposePushesPixelsToScanout)
     int id = flinger_.createLayer("painter", 64, 64);
     gpu::BufferPtr buf = flinger_.layerBuffer(id);
     std::fill(buf->pixels.begin(), buf->pixels.end(), 0xff112233u);
+    buf->dropDamage();
     flinger_.queueBuffer(id);
     flinger_.composeFrame(*env_);
     // Something non-zero landed on the framebuffer.
@@ -106,6 +129,7 @@ TEST_F(FlingerTest, ScreenshotCopiesLayer)
     int id = flinger_.createLayer("shot", 4, 4);
     gpu::BufferPtr buf = flinger_.layerBuffer(id);
     buf->pixels[5] = 0xabcdef01u;
+    buf->dropDamage();
     gpu::GraphicsBuffer shot = flinger_.screenshot(id);
     EXPECT_EQ(shot.pixels[5], 0xabcdef01u);
     // It's a copy: mutating the shot leaves the layer alone.
