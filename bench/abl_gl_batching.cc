@@ -22,7 +22,7 @@ constexpr int kFrames = 5;
 } // namespace cider::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace cider;
     using namespace cider::bench;
@@ -98,5 +98,6 @@ main(int argc, char **argv)
         return 0;
     });
 
-    return reportAndRun(argc, argv, {&table});
+    printTables({&table});
+    return 0;
 }

@@ -46,7 +46,7 @@ execCost(CiderSystem &sys)
 } // namespace cider::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace cider;
     using namespace cider::bench;
@@ -83,5 +83,6 @@ main(int argc, char **argv)
 
     std::printf("NOTE: 'iPad mini' column = Cider + shared-cache "
                 "override (the ablation), not the real iPad.\n");
-    return reportAndRun(argc, argv, {&table});
+    printTables({&table});
+    return 0;
 }

@@ -5,16 +5,14 @@
  * Every bench binary follows the paper's method: run a workload on
  * each system configuration (Vanilla Android, Cider/Android-binary,
  * Cider/iOS-binary, iPad mini), collect deterministic virtual-time
- * results, report them through google-benchmark (manual time), and
- * print the normalised table exactly the way the paper's figures are
- * normalised — against Vanilla Android (or a stated stand-in baseline
- * for rows vanilla cannot run).
+ * results, and print the normalised table exactly the way the
+ * paper's figures are normalised — against Vanilla Android (or a
+ * stated stand-in baseline for rows vanilla cannot run). The ablation
+ * and soak binaries also write BENCH_<name>.json through BenchJson.
  */
 
 #ifndef CIDER_BENCH_BENCH_UTIL_H
 #define CIDER_BENCH_BENCH_UTIL_H
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -22,10 +20,10 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
-#include "bench_json.h"
 #include "core/cider_system.h"
 #include "kernel/percpu.h"
 
@@ -40,6 +38,73 @@ inline const std::vector<SystemConfig> kAllConfigs = {
     SystemConfig::CiderAndroid,
     SystemConfig::CiderIos,
     SystemConfig::IPadMini,
+};
+
+/**
+ * Each row records a workload's deterministic virtual-time cost *and*
+ * its host wall-clock cost, so a hot-path optimisation can prove two
+ * things at once: the virtual series is unchanged (bit-identical
+ * simulation) and the host-side time actually dropped. Written as
+ * `BENCH_<name>.json` in the working directory; CI uploads these as
+ * artifacts.
+ */
+class BenchJson
+{
+  public:
+    explicit BenchJson(std::string name) : name_(std::move(name)) {}
+
+    void
+    add(const std::string &row, double virtual_ns, double host_ns)
+    {
+        rows_.push_back({row, virtual_ns, host_ns, {}});
+    }
+
+    /** Attach an extra metric to the most recently added row. */
+    void
+    metric(const std::string &key, double value)
+    {
+        if (!rows_.empty())
+            rows_.back().metrics.emplace_back(key, value);
+    }
+
+    bool
+    write() const
+    {
+        std::string path = "BENCH_" + name_ + ".json";
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        if (!f)
+            return false;
+        std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n",
+                     name_.c_str());
+        for (std::size_t i = 0; i < rows_.size(); ++i) {
+            const Row &r = rows_[i];
+            std::fprintf(f,
+                         "    {\"name\": \"%s\", "
+                         "\"virtual_ns\": %.0f, "
+                         "\"host_ns\": %.0f",
+                         r.name.c_str(), r.virtualNs, r.hostNs);
+            for (const auto &[key, value] : r.metrics)
+                std::fprintf(f, ", \"%s\": %g", key.c_str(), value);
+            std::fprintf(f, "}%s\n",
+                         i + 1 < rows_.size() ? "," : "");
+        }
+        std::fprintf(f, "  ]\n}\n");
+        std::fclose(f);
+        std::printf("wrote %s\n", path.c_str());
+        return true;
+    }
+
+  private:
+    struct Row
+    {
+        std::string name;
+        double virtualNs;
+        double hostNs;
+        std::vector<std::pair<std::string, double>> metrics;
+    };
+
+    std::string name_;
+    std::vector<Row> rows_;
 };
 
 /** One figure group: rows x configs of raw measurements. */
@@ -83,33 +148,6 @@ class ResultTable
         if (it == values_.end())
             return std::nullopt;
         return it->second;
-    }
-
-    /** Register every cell as a google-benchmark manual-time entry. */
-    void
-    registerBenchmarks() const
-    {
-        for (const auto &[key, value] : values_) {
-            std::string name =
-                title_ + "/" + key.first + "/" +
-                core::systemConfigName(key.second);
-            for (char &c : name)
-                if (c == ' ')
-                    c = '_';
-            double seconds = higherIsBetter_
-                                 ? (value > 0 ? 1.0 / value : 0)
-                                 : value / 1e9;
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [seconds](benchmark::State &state) {
-                    for (auto _ : state) {
-                        (void)_;
-                        state.SetIterationTime(seconds);
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1);
-        }
     }
 
     /** Print the paper-style normalised table. */
@@ -277,18 +315,12 @@ printTrapBreakdown(CiderSystem &sys, const std::string &label)
                     stats.unknownSyscalls()));
 }
 
-/** Run the google-benchmark pass and print the normalised tables. */
-inline int
-reportAndRun(int argc, char **argv,
-             const std::vector<const ResultTable *> &tables)
+/** Print the normalised tables. */
+inline void
+printTables(const std::vector<const ResultTable *> &tables)
 {
     for (const ResultTable *table : tables)
-        table->registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    for (const ResultTable *table : tables)
         table->print();
-    return 0;
 }
 
 } // namespace cider::bench

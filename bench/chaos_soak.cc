@@ -45,7 +45,7 @@
 #include "android/dexjit.h"
 #include "base/cost_clock.h"
 #include "base/logging.h"
-#include "bench_json.h"
+#include "bench/bench_util.h"
 #include "binfmt/dex.h"
 #include "core/app_package.h"
 #include "core/cider_system.h"

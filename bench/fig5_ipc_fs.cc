@@ -95,7 +95,7 @@ fileCreateDelete(Posix &posix, std::size_t bytes)
 } // namespace cider::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace cider;
     using namespace cider::bench;
@@ -139,5 +139,6 @@ main(int argc, char **argv)
         });
     }
 
-    return reportAndRun(argc, argv, {&table});
+    printTables({&table});
+    return 0;
 }

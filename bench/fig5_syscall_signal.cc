@@ -81,7 +81,7 @@ signalBody(Posix &posix, binfmt::UserEnv &)
 } // namespace cider::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace cider;
     using namespace cider::bench;
@@ -126,5 +126,6 @@ main(int argc, char **argv)
         }
     }
 
-    return reportAndRun(argc, argv, {&table});
+    printTables({&table});
+    return 0;
 }

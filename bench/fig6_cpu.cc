@@ -72,7 +72,7 @@ iosThroughput(CiderSystem &sys, const std::string &method)
 } // namespace cider::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace cider;
     using namespace cider::bench;
@@ -117,5 +117,6 @@ main(int argc, char **argv)
         }
     }
 
-    return reportAndRun(argc, argv, {&table});
+    printTables({&table});
+    return 0;
 }

@@ -60,7 +60,7 @@ memoryThroughput(CiderSystem &sys, bool write_test)
 } // namespace cider::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace cider;
     using namespace cider::bench;
@@ -74,5 +74,6 @@ main(int argc, char **argv)
         table.set("memory-write", config, memoryThroughput(sys, true));
         table.set("memory-read", config, memoryThroughput(sys, false));
     }
-    return reportAndRun(argc, argv, {&table});
+    printTables({&table});
+    return 0;
 }

@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "base/logging.h"
-#include "bench_json.h"
+#include "bench/bench_util.h"
 #include "core/cider_system.h"
 #include "core/fleet.h"
 

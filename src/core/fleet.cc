@@ -162,27 +162,6 @@ class PersonaGuard
     bool switched_;
 };
 
-class FleetDevice : public kernel::Device
-{
-  public:
-    FleetDevice() : Device("fleet", "proc") {}
-
-    SyscallResult
-    read(Thread &, Bytes &out, std::size_t n) override
-    {
-        std::string text;
-        {
-            std::lock_guard<std::mutex> lock(hubMu());
-            text = hubText();
-        }
-        if (text.empty())
-            text = "fleet: no soak has published yet\n";
-        std::size_t len = std::min(n, text.size());
-        out.assign(text.begin(), text.begin() + static_cast<long>(len));
-        return SyscallResult::success(static_cast<std::int64_t>(len));
-    }
-};
-
 std::string
 buildReportText(const FleetReport &r, const char *mode)
 {
@@ -1459,24 +1438,75 @@ SubsystemStats::percentile(double p) const
     return sorted[idx];
 }
 
+namespace {
+
+/** One leak-audit counter: its name and how to read it off a system. */
+struct LeakProbe
+{
+    const char *name;
+    std::uint64_t (*read)(CiderSystem &sys);
+};
+
+/** Every counter the audit compares, in report order. A subsystem
+ *  joins the audit with one row here. */
+const LeakProbe kLeakProbes[] = {
+    {"processes",
+     [](CiderSystem &sys) {
+         std::uint64_t n = 0;
+         sys.kernel().forEachProcess([&n](Process &) { ++n; });
+         return n;
+     }},
+    {"zombies",
+     [](CiderSystem &sys) {
+         std::uint64_t n = 0;
+         sys.kernel().forEachProcess([&n](Process &p) {
+             n += p.state() == Process::State::Zombie ? 1 : 0;
+         });
+         return n;
+     }},
+    {"threads",
+     [](CiderSystem &sys) {
+         std::uint64_t n = 0;
+         sys.kernel().forEachProcess(
+             [&n](Process &p) { n += p.threads().size(); });
+         return n;
+     }},
+    {"ports",
+     [](CiderSystem &sys) -> std::uint64_t {
+         return sys.machIpc().portZoneStats().live;
+     }},
+    {"vmObjects",
+     [](CiderSystem &) -> std::uint64_t { return kernel::vmLiveObjects(); }},
+    {"zoneElements",
+     [](CiderSystem &) -> std::uint64_t {
+         return ducttape::zone_registry_totals().liveElements;
+     }},
+    {"blockedWaits",
+     [](CiderSystem &) -> std::uint64_t {
+         return ducttape::waitq_blocked_waits(250.0).size();
+     }},
+    {"netSockets",
+     [](CiderSystem &sys) -> std::uint64_t {
+         return sys.kernel().net().stats().socketsLive;
+     }},
+    {"netBufferedBytes",
+     [](CiderSystem &sys) -> std::uint64_t {
+         return sys.kernel().net().stats().bufferedBytes;
+     }},
+    {"gpuBuffers",
+     [](CiderSystem &sys) -> std::uint64_t {
+         return sys.gpu().buffers().liveCount();
+     }},
+};
+
+} // namespace
+
 LeakSnapshot
 takeLeakSnapshot(CiderSystem &sys)
 {
     LeakSnapshot snap;
-    sys.kernel().forEachProcess([&snap](kernel::Process &p) {
-        ++snap.processes;
-        if (p.state() == kernel::Process::State::Zombie)
-            ++snap.zombies;
-        snap.threads += p.threads().size();
-    });
-    snap.portsLive = sys.machIpc().portZoneStats().live;
-    snap.vmObjectsLive = kernel::vmLiveObjects();
-    snap.zoneLiveElements = ducttape::zone_registry_totals().liveElements;
-    snap.blockedWaits = ducttape::waitq_blocked_waits(250.0).size();
-    kernel::NetStats net = sys.kernel().net().stats();
-    snap.netSocketsLive = net.socketsLive;
-    snap.netBufferedBytes = net.bufferedBytes;
-    snap.gpuBuffersLive = sys.gpu().buffers().liveCount();
+    for (const LeakProbe &probe : kLeakProbes)
+        snap.counters[probe.name] = probe.read(sys);
     return snap;
 }
 
@@ -1485,27 +1515,17 @@ leakAuditClean(const LeakSnapshot &before, const LeakSnapshot &after,
                std::string *why)
 {
     std::string detail;
-    auto drift = [&detail](const char *name, std::uint64_t b,
-                           std::uint64_t a) {
+    for (const LeakProbe &probe : kLeakProbes) {
+        std::uint64_t b = before.value(probe.name);
+        std::uint64_t a = after.value(probe.name);
         if (a == b)
-            return;
+            continue;
         char buf[96];
-        std::snprintf(buf, sizeof buf, "%s %llu -> %llu; ", name,
+        std::snprintf(buf, sizeof buf, "%s %llu -> %llu; ", probe.name,
                       static_cast<unsigned long long>(b),
                       static_cast<unsigned long long>(a));
         detail += buf;
-    };
-    drift("processes", before.processes, after.processes);
-    drift("zombies", before.zombies, after.zombies);
-    drift("threads", before.threads, after.threads);
-    drift("ports", before.portsLive, after.portsLive);
-    drift("vmObjects", before.vmObjectsLive, after.vmObjectsLive);
-    drift("zoneElements", before.zoneLiveElements, after.zoneLiveElements);
-    drift("blockedWaits", before.blockedWaits, after.blockedWaits);
-    drift("netSockets", before.netSocketsLive, after.netSocketsLive);
-    drift("netBufferedBytes", before.netBufferedBytes,
-          after.netBufferedBytes);
-    drift("gpuBuffers", before.gpuBuffersLive, after.gpuBuffersLive);
+    }
     if (why)
         *why = detail;
     return detail.empty();
@@ -1603,11 +1623,8 @@ FleetSoak::FleetSoak(CiderSystem &sys, const FleetOptions &opts)
     : sys_(sys), opts_(opts)
 {
     kernel::Kernel &k = sys.kernel();
-    if (!k.devices().find("fleet")) {
-        kernel::Device &dev =
-            k.devices().add(std::make_unique<FleetDevice>());
-        k.vfs().mknod("/proc/cider/fleet", &dev);
-    }
+    if (!k.devices().find("fleet"))
+        k.addProcNode("fleet", &FleetSoak::procText);
 }
 
 FleetReport
@@ -1632,6 +1649,8 @@ std::string
 FleetSoak::procText()
 {
     std::lock_guard<std::mutex> lock(hubMu());
+    if (hubText().empty())
+        return "fleet: no soak has published yet\n";
     return hubText();
 }
 

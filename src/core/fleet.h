@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cider_system.h"
@@ -97,22 +98,24 @@ struct SubsystemStats
 };
 
 /**
- * Leak-audit counters. Taken before and after a soak; a clean run
- * returns every counter to its baseline (magazine-parked zone
- * elements are free memory, tracked separately and exempt).
+ * Leak-audit counters by name: "processes", "zombies", "threads",
+ * "ports", "vmObjects", "zoneElements", "blockedWaits", "netSockets",
+ * "netBufferedBytes" and "gpuBuffers" (one probe table in fleet.cc).
+ * Taken before and after a soak; a clean run returns every counter to
+ * its baseline (magazine-parked zone elements are free memory,
+ * tracked separately and exempt).
  */
 struct LeakSnapshot
 {
-    std::size_t processes = 0;   ///< kernel process-table entries
-    std::size_t zombies = 0;     ///< of which unreaped zombies
-    std::size_t threads = 0;     ///< threads across table entries
-    std::uint64_t portsLive = 0; ///< live elements in the port zone
-    std::uint64_t vmObjectsLive = 0; ///< live VmObjects process-wide
-    std::uint64_t zoneLiveElements = 0; ///< sum over the zone registry
-    std::size_t blockedWaits = 0; ///< waits parked > 250ms host time
-    std::uint64_t netSocketsLive = 0;   ///< bound/connected AF_INET
-    std::uint64_t netBufferedBytes = 0; ///< bytes in socket buffers
-    std::size_t gpuBuffersLive = 0;     ///< gralloc/IOSurface buffers
+    std::map<std::string, std::uint64_t, std::less<>> counters;
+
+    /** The counter called @p name; 0 when it was not taken. */
+    std::uint64_t
+    value(std::string_view name) const
+    {
+        auto it = counters.find(name);
+        return it == counters.end() ? 0 : it->second;
+    }
 };
 
 LeakSnapshot takeLeakSnapshot(CiderSystem &sys);

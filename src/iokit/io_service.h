@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "iokit/io_registry.h"
-#include "kernel/device.h"
+#include "kernel/types.h"
 #include "xnu/kern_return.h"
 
 namespace cider::kernel {
@@ -167,23 +167,10 @@ struct IoConnectArgs
 void registerIoKitTraps(kernel::SyscallTable &mach_table,
                         IORegistry &registry, IOCatalogue &catalogue);
 
-/** /proc/cider/iokit: registry tree, services, personality stats. */
-class IoKitStatsDevice : public kernel::Device
-{
-  public:
-    IoKitStatsDevice(const IORegistry &registry,
-                     const IOCatalogue &catalogue)
-        : Device("iokit", "proc"), registry_(registry),
-          catalogue_(catalogue)
-    {}
-
-    kernel::SyscallResult read(kernel::Thread &t, Bytes &out,
-                               std::size_t n) override;
-
-  private:
-    const IORegistry &registry_;
-    const IOCatalogue &catalogue_;
-};
+/** The /proc/cider/iokit text: registry tree, services, personality
+ *  stats. */
+std::string dumpIoKit(const IORegistry &registry,
+                      const IOCatalogue &catalogue);
 
 } // namespace cider::iokit
 

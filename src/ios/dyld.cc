@@ -67,7 +67,6 @@ Dyld::loadImage(binfmt::UserEnv &env, const std::string &name,
     }
     table.loaded.push_back(img);
     table.byName[name] = img;
-    imagesLoaded_.fetch_add(1, std::memory_order_relaxed);
 
     // dyld registers an exit-time callback for every image, and the
     // image's own runtime may install pthread_atfork callbacks.

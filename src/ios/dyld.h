@@ -16,7 +16,6 @@
 #ifndef CIDER_IOS_DYLD_H
 #define CIDER_IOS_DYLD_H
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <vector>
@@ -67,12 +66,6 @@ class Dyld
         sharedCacheOverride_ = enabled;
     }
 
-    std::uint64_t
-    imagesLoaded() const
-    {
-        return imagesLoaded_.load(std::memory_order_relaxed);
-    }
-
     /** A MachOBootstrap adapter for the kernel loader seam. */
     binfmt::MachOBootstrap asBootstrap();
 
@@ -83,8 +76,6 @@ class Dyld
     binfmt::LibraryRegistry &libraries_;
     std::string libraryDir_;
     int sharedCacheOverride_ = -1;
-    /** Relaxed atomic: fleet sessions bootstrap concurrently. */
-    std::atomic<std::uint64_t> imagesLoaded_{0};
 };
 
 } // namespace cider::ios

@@ -1,6 +1,46 @@
 #include "kernel/device.h"
 
+#include <algorithm>
+#include <optional>
+
 namespace cider::kernel {
+
+namespace {
+
+/** An open ProcNode: the text rendered at the first read plus this
+ *  open's offset into it. */
+class ProcFile : public OpenFile
+{
+  public:
+    explicit ProcFile(ProcNode &node) : node_(node) {}
+
+    std::string kind() const override { return "dev:" + node_.name(); }
+
+    SyscallResult
+    read(Thread &, Bytes &out, std::size_t n) override
+    {
+        if (!text_)
+            text_ = node_.render();
+        std::size_t take = std::min(n, text_->size() - offset_);
+        auto first = text_->begin() + static_cast<std::ptrdiff_t>(offset_);
+        out.assign(first, first + static_cast<std::ptrdiff_t>(take));
+        offset_ += take;
+        return SyscallResult::success(static_cast<std::int64_t>(take));
+    }
+
+    PollState
+    poll() const override
+    {
+        return {true, true, false};
+    }
+
+  private:
+    ProcNode &node_;
+    std::optional<std::string> text_;
+    std::size_t offset_ = 0;
+};
+
+} // namespace
 
 void
 Device::setProperty(const std::string &key, const std::string &value)
@@ -31,6 +71,18 @@ SyscallResult
 Device::write(Thread &, const Bytes &)
 {
     return SyscallResult::failure(lnx::INVAL);
+}
+
+std::shared_ptr<OpenFile>
+Device::open()
+{
+    return std::make_shared<DeviceFile>(*this);
+}
+
+std::shared_ptr<OpenFile>
+ProcNode::open()
+{
+    return std::make_shared<ProcFile>(*this);
 }
 
 SyscallResult

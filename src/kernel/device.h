@@ -49,6 +49,10 @@ class Device
     virtual SyscallResult read(Thread &t, Bytes &out, std::size_t n);
     virtual SyscallResult write(Thread &t, const Bytes &data);
 
+    /** The open-file object behind a new descriptor on this device;
+     *  the default forwards every call to the entry points above. */
+    virtual std::shared_ptr<OpenFile> open();
+
   private:
     std::string name_;
     std::string class_;
@@ -71,6 +75,28 @@ class DeviceFile : public OpenFile
 
   private:
     Device &dev_;
+};
+
+/**
+ * A /proc/cider introspection node: a "proc"-class device whose text
+ * comes from @p render. Each open renders once, at its first read;
+ * later reads continue from the open's offset and return 0 at the
+ * end, so a reader looping until EOF sees one consistent snapshot.
+ */
+class ProcNode : public Device
+{
+  public:
+    using Render = std::function<std::string()>;
+
+    ProcNode(std::string name, Render render)
+        : Device(std::move(name), "proc"), render_(std::move(render))
+    {}
+
+    std::string render() const { return render_(); }
+    std::shared_ptr<OpenFile> open() override;
+
+  private:
+    Render render_;
 };
 
 /** All registered devices, with the device_add hook. */

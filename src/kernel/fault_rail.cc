@@ -1,6 +1,5 @@
 #include "kernel/fault_rail.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -252,13 +251,6 @@ FaultRail::snapshot() const
     return out;
 }
 
-std::size_t
-FaultRail::siteCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return sites_.size();
-}
-
 void
 FaultRail::resetCounters()
 {
@@ -340,16 +332,6 @@ FaultRail::dump() const
         appendf(out, "  site=%s blocked=%.1fms vtime=%" PRIu64 "\n",
                 w.site ? w.site : "waitq", w.hostBlockedMs, w.virtualNs);
     return out;
-}
-
-SyscallResult
-FaultRailDevice::read(Thread &, Bytes &out, std::size_t n)
-{
-    std::string text = rail_.dump();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(),
-               text.begin() + static_cast<std::ptrdiff_t>(take));
-    return SyscallResult::success(static_cast<std::int64_t>(take));
 }
 
 } // namespace cider::kernel

@@ -1,6 +1,21 @@
 #include "kernel/fd_table.h"
 
+#include <utility>
+
 namespace cider::kernel {
+
+namespace {
+
+/** Drop one slot's reference; the last reference to a description
+ *  closes its file object. Called with no table lock held. */
+void
+release(std::shared_ptr<FileDescription> desc)
+{
+    if (desc && desc.use_count() == 1 && desc->file)
+        desc->file->closed();
+}
+
+} // namespace
 
 SyscallResult
 FdTable::install(std::shared_ptr<OpenFile> file)
@@ -13,6 +28,7 @@ FdTable::install(std::shared_ptr<OpenFile> file)
 SyscallResult
 FdTable::installDescription(std::shared_ptr<FileDescription> d)
 {
+    std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         if (!slots_[i]) {
             slots_[i] = std::move(d);
@@ -29,6 +45,7 @@ FdTable::installDescription(std::shared_ptr<FileDescription> d)
 std::shared_ptr<FileDescription>
 FdTable::get(Fd fd) const
 {
+    std::lock_guard<std::mutex> lock(mu_);
     if (fd < 0 || static_cast<std::size_t>(fd) >= slots_.size())
         return nullptr;
     return slots_[static_cast<std::size_t>(fd)];
@@ -51,65 +68,65 @@ FdTable::dup2(Fd fd, Fd new_fd)
         return SyscallResult::failure(lnx::BADF);
     if (fd == new_fd)
         return SyscallResult::success(new_fd);
-    if (get(new_fd))
-        close(new_fd);
-    if (static_cast<std::size_t>(new_fd) >= slots_.size())
-        slots_.resize(static_cast<std::size_t>(new_fd) + 1);
-    slots_[static_cast<std::size_t>(new_fd)] = desc;
+    std::shared_ptr<FileDescription> old;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (static_cast<std::size_t>(new_fd) >= slots_.size())
+            slots_.resize(static_cast<std::size_t>(new_fd) + 1);
+        old = std::exchange(slots_[static_cast<std::size_t>(new_fd)],
+                            std::move(desc));
+    }
+    release(std::move(old));
     return SyscallResult::success(new_fd);
 }
 
 SyscallResult
 FdTable::close(Fd fd)
 {
-    auto desc = get(fd);
+    std::shared_ptr<FileDescription> desc;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (fd < 0 || static_cast<std::size_t>(fd) >= slots_.size())
+            return SyscallResult::failure(lnx::BADF);
+        desc = std::move(slots_[static_cast<std::size_t>(fd)]);
+    }
     if (!desc)
         return SyscallResult::failure(lnx::BADF);
-    slots_[static_cast<std::size_t>(fd)] = nullptr;
-    // Last reference to the description closes the file object.
-    if (desc.use_count() == 1 && desc->file)
-        desc->file->closed();
+    release(std::move(desc));
     return SyscallResult::success();
 }
 
-FdTable
-FdTable::cloneForFork() const
+void
+FdTable::forkFrom(const FdTable &parent)
 {
-    FdTable copy(maxFds_);
-    copy.slots_ = slots_;
-    return copy;
+    std::scoped_lock lock(mu_, parent.mu_);
+    slots_ = parent.slots_;
 }
 
 void
 FdTable::closeAll()
 {
-    for (auto &slot : slots_) {
-        if (slot && slot.use_count() == 1 && slot->file)
-            slot->file->closed();
-        slot = nullptr;
+    std::vector<std::shared_ptr<FileDescription>> gone;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        gone.swap(slots_);
     }
+    for (auto &slot : gone)
+        release(std::move(slot));
 }
 
 void
 FdTable::closeCloexec()
 {
-    for (auto &slot : slots_) {
-        if (slot && slot->cloexec) {
-            if (slot.use_count() == 1 && slot->file)
-                slot->file->closed();
-            slot = nullptr;
-        }
+    std::vector<std::shared_ptr<FileDescription>> gone;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (auto &slot : slots_)
+            if (slot && slot->cloexec)
+                gone.push_back(std::move(slot));
     }
-}
-
-int
-FdTable::openCount() const
-{
-    int n = 0;
-    for (const auto &slot : slots_)
-        if (slot)
-            ++n;
-    return n;
+    for (auto &slot : gone)
+        release(std::move(slot));
 }
 
 } // namespace cider::kernel

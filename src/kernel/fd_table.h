@@ -7,6 +7,7 @@
 #define CIDER_KERNEL_FD_TABLE_H
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "kernel/file.h"
@@ -16,7 +17,9 @@ namespace cider::kernel {
 
 /**
  * Descriptor table. Entries are shared FileDescription objects so
- * dup() and fork() share offsets and flags, as on Linux.
+ * dup() and fork() share offsets and flags, as on Linux. One mutex
+ * guards the slots (threads of a process share the table); a file's
+ * closed() hook runs after that lock is dropped.
  */
 class FdTable
 {
@@ -37,20 +40,17 @@ class FdTable
     SyscallResult dup2(Fd fd, Fd new_fd);
     SyscallResult close(Fd fd);
 
-    /** Clone the table for fork(): descriptions are shared. */
-    FdTable cloneForFork() const;
+    /** fork(): take a copy of @p parent's slots (descriptions are
+     *  shared). */
+    void forkFrom(const FdTable &parent);
 
     /** Close everything (process exit) and drop CLOEXEC fds (exec). */
     void closeAll();
     void closeCloexec();
 
-    /** Number of live descriptors. */
-    int openCount() const;
-
-    int maxFds() const { return maxFds_; }
-
   private:
-    int maxFds_;
+    const int maxFds_;
+    mutable std::mutex mu_;
     std::vector<std::shared_ptr<FileDescription>> slots_;
 };
 

@@ -228,26 +228,24 @@ Kernel::Kernel(const hw::DeviceProfile &profile)
 
     trapStats_.attachTable(linuxTable_);
     vfs_.mkdirAll("/proc/cider");
-    Device &dump =
-        devices_.add(std::make_unique<TrapStatsDevice>(trapStats_));
-    vfs_.mknod("/proc/cider/trapstats", &dump);
-    Device &faults =
-        devices_.add(std::make_unique<FaultRailDevice>(FaultRail::global()));
-    vfs_.mknod("/proc/cider/faults", &faults);
-    Device &lockorder = devices_.add(
-        std::make_unique<SchedRailDevice>(SchedRail::global()));
-    vfs_.mknod("/proc/cider/lockorder", &lockorder);
-    Device &percpu =
-        devices_.add(std::make_unique<PerCpuDevice>(percpu_));
-    vfs_.mknod("/proc/cider/percpu", &percpu);
-    Device &vmdev = devices_.add(std::make_unique<VmDevice>(*this));
-    vfs_.mknod("/proc/cider/vm", &vmdev);
-    Device &netdev =
-        devices_.add(std::make_unique<NetStackDevice>(net_));
-    vfs_.mknod("/proc/cider/net", &netdev);
+    addProcNode("trapstats", [this] { return trapStats_.dump(); });
+    addProcNode("faults", [] { return FaultRail::global().dump(); });
+    addProcNode("lockorder",
+                [] { return SchedRail::global().lockGraph().dump(); });
+    addProcNode("percpu", [this] { return percpu_.dump(); });
+    addProcNode("vm", [this] { return dumpVm(*this); });
+    addProcNode("net", [this] { return net_.dump(); });
 }
 
 Kernel::~Kernel() = default;
+
+void
+Kernel::addProcNode(const std::string &name, ProcNode::Render render)
+{
+    Device &node = devices_.add(
+        std::make_unique<ProcNode>(name, std::move(render)));
+    vfs_.mknod("/proc/cider/" + name, &node);
+}
 
 Process &
 Kernel::createProcess(const std::string &name, Persona persona,
@@ -277,13 +275,6 @@ Kernel::findProcess(Pid pid) const
     std::lock_guard<std::mutex> lock(procMu_);
     auto it = processes_.find(pid);
     return it == processes_.end() ? nullptr : it->second.get();
-}
-
-std::size_t
-Kernel::processCount() const
-{
-    std::lock_guard<std::mutex> lock(procMu_);
-    return processes_.size();
 }
 
 bool
@@ -448,7 +439,7 @@ Kernel::sysOpen(Thread &t, const std::string &path, int flags)
       case InodeType::DeviceNode:
         if (!node->device)
             return SyscallResult::failure(lnx::NXIO);
-        file = std::make_shared<DeviceFile>(*node->device);
+        file = node->device->open();
         break;
       case InodeType::Directory:
         return SyscallResult::failure(lnx::ISDIR);
@@ -851,7 +842,7 @@ Kernel::sysFork(Thread &t, EntryFn child_body, bool run_now)
     Process &child =
         createProcess(parent.name() + ":child", t.persona(), &parent);
     child.mem().forkFrom(parent.mem(), eagerForkCopy_);
-    child.fds() = parent.fds().cloneForFork();
+    child.fds().forkFrom(parent.fds());
     child.signals() = parent.signals();
     child.image() = parent.image();
     child.image().entry = child_body;

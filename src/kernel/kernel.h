@@ -180,6 +180,9 @@ class Kernel
     const hw::DeviceProfile &profile() const { return profile_; }
     Vfs &vfs() { return vfs_; }
     DeviceRegistry &devices() { return devices_; }
+    /** Register /proc/cider/@p name, a ProcNode whose text comes from
+     *  @p render (bridged into I/O Kit like any other device). */
+    void addProcNode(const std::string &name, ProcNode::Render render);
     UnixSocketRegistry &unixSockets() { return unixRegistry_; }
     /** The AF_INET stack (TCP-lite/UDP-lite over I/O Kit NICs). */
     NetStack &net() { return net_; }
@@ -192,7 +195,6 @@ class Kernel
                            Persona persona = Persona::Android,
                            Process *parent = nullptr);
     Process *findProcess(Pid pid) const;
-    std::size_t processCount() const;
     /** Visit every live process under the table lock (used by
      *  /proc/cider/vm; keep @p fn non-blocking). */
     void forEachProcess(const std::function<void(Process &)> &fn) const;
@@ -224,7 +226,6 @@ class Kernel
      * to first-write faults.
      */
     void setEagerForkCopy(bool on) { eagerForkCopy_ = on; }
-    bool eagerForkCopy() const { return eagerForkCopy_; }
     /// @}
 
     /** The simulated machine's CPU array (profile.cpuCores slots). */
@@ -258,7 +259,6 @@ class Kernel
      * the corpse with waitpid. Off by default.
      */
     void setOomKillEnabled(bool on) { oomKillEnabled_ = on; }
-    bool oomKillEnabled() const { return oomKillEnabled_; }
     /// @}
 
     /// @{ Extension seams.

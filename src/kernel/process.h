@@ -6,6 +6,7 @@
 #ifndef CIDER_KERNEL_PROCESS_H
 #define CIDER_KERNEL_PROCESS_H
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -87,7 +88,7 @@ class Process
         return threads_;
     }
 
-    State state() const { return state_; }
+    State state() const { return state_.load(); }
     int exitCode() const { return exitCode_; }
     /** Virtual time at which the process exited (for wait). */
     std::uint64_t exitVirtualTime() const { return exitVtime_; }
@@ -95,7 +96,7 @@ class Process
     /** Kernel-side exit: close fds, flip to Zombie, wake waiters. */
     void terminate(int code, std::uint64_t vtime);
 
-    void markReaped() { state_ = State::Reaped; }
+    void markReaped() { state_.store(State::Reaped); }
 
     /** Block the calling host thread until this process is a zombie. */
     void waitUntilZombie();
@@ -114,7 +115,9 @@ class Process
 
     std::mutex mu_;
     std::condition_variable exitCv_;
-    State state_ = State::Running;
+    /** Atomic: sysKill and the reaper read it without mu_; the
+     *  Running -> Zombie store publishes exitCode_/exitVtime_. */
+    std::atomic<State> state_{State::Running};
     int exitCode_ = 0;
     std::uint64_t exitVtime_ = 0;
 };

@@ -54,8 +54,8 @@
  * On top of the rail sits a lock-order graph: while tracking is
  * enabled, every lck_mtx (and zalloc zone lock) acquisition records
  * held-before edges; cycles in that graph are reported as potential
- * deadlocks through lockOrderCycles() and the /proc/cider/lockorder
- * device node.
+ * deadlocks through LockOrderGraph::cycles() and the
+ * /proc/cider/lockorder node.
  */
 
 #ifndef CIDER_KERNEL_SCHED_RAIL_H
@@ -73,7 +73,7 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "kernel/device.h"
+#include "kernel/types.h"
 
 namespace cider::kernel {
 
@@ -327,24 +327,6 @@ ExploreResult exploreSchedules(SchedRail &rail,
                                const std::function<bool()> &episode_ok,
                                const ExploreOptions &opt = {});
 /// @}
-
-/**
- * Kernel device node exposing the lock-order graph at
- * /proc/cider/lockorder. Reads are single-shot, like
- * /proc/cider/trapstats and /proc/cider/faults.
- */
-class SchedRailDevice : public Device
-{
-  public:
-    explicit SchedRailDevice(const SchedRail &rail)
-        : Device("lockorder", "proc"), rail_(rail)
-    {}
-
-    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
-
-  private:
-    const SchedRail &rail_;
-};
 
 } // namespace cider::kernel
 

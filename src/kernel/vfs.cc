@@ -42,6 +42,19 @@ class PathComponents
     std::string_view rest_;
 };
 
+/** True when @p dir is @p target or holds it somewhere beneath. */
+bool
+containsDir(const Inode &dir, const Inode *target)
+{
+    if (&dir == target)
+        return true;
+    for (const auto &[name, child] : dir.children)
+        if (child->type == InodeType::Directory &&
+            containsDir(*child, target))
+            return true;
+    return false;
+}
+
 } // namespace
 
 Vfs::Vfs(const hw::DeviceProfile &profile) : profile_(profile)
@@ -326,10 +339,17 @@ Vfs::rename(const std::string &from, const std::string &to)
     Lookup dst = lookupImpl(to);
     if (dst.err)
         return SyscallResult::failure(dst.err);
-    if (dst.leaf.empty())
-        return SyscallResult::failure(lnx::ISDIR);
+    // Only the root resolves to an empty leaf; it cannot move, and
+    // nothing can replace it.
+    if (src.leaf.empty() || dst.leaf.empty())
+        return SyscallResult::failure(lnx::BUSY);
     if (dst.inode && dst.inode->type == InodeType::Directory)
         return SyscallResult::failure(lnx::ISDIR);
+    // A directory moved beneath itself would link an inode cycle and
+    // detach the subtree.
+    if (src.inode->type == InodeType::Directory &&
+        containsDir(*src.inode, dst.parent.get()))
+        return SyscallResult::failure(lnx::INVAL);
     dst.parent->children[dst.leaf] = src.inode;
     // Self-rename must not drop the file.
     if (src.parent != dst.parent || src.leaf != dst.leaf)

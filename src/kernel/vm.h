@@ -49,7 +49,7 @@
 
 #include "base/bytes.h"
 #include "hw/device_profile.h"
-#include "kernel/device.h"
+#include "kernel/types.h"
 
 namespace cider::kernel {
 
@@ -323,17 +323,9 @@ class VmMap
     std::uint64_t nextBase_ = 0x100000000ull;
 };
 
-/** /proc/cider/vm: per-process entry tables + system counters. */
-class VmDevice : public Device
-{
-  public:
-    explicit VmDevice(Kernel &kernel);
-
-    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
-
-  private:
-    Kernel &kernel_;
-};
+/** The /proc/cider/vm text: system counters, then every process's
+ *  entry table. */
+std::string dumpVm(const Kernel &kernel);
 
 } // namespace cider::kernel
 

@@ -62,10 +62,10 @@ TEST(SubsystemStatsTest, PercentileNearestRank)
 TEST(LeakAuditTest, DetectsAndNamesDrift)
 {
     LeakSnapshot a, b;
-    a.processes = b.processes = 3;
-    a.portsLive = 10;
-    b.portsLive = 12;
-    b.zombies = 1;
+    a.counters["processes"] = b.counters["processes"] = 3;
+    a.counters["ports"] = 10;
+    b.counters["ports"] = 12;
+    b.counters["zombies"] = 1;
 
     std::string why;
     EXPECT_TRUE(leakAuditClean(a, a, &why));
@@ -180,11 +180,12 @@ TEST(FleetSoakTest, KillStormTeardownLeaksNothing)
     EXPECT_GT(report.sessionsKilled, 0u);
     EXPECT_GT(report.faultTrips, 0u);
     EXPECT_TRUE(report.auditClean) << report.auditDetail;
-    EXPECT_EQ(report.after.zombies, 0u);
-    EXPECT_EQ(report.after.portsLive, report.before.portsLive);
-    EXPECT_EQ(report.after.vmObjectsLive, report.before.vmObjectsLive);
-    EXPECT_EQ(report.after.zoneLiveElements,
-              report.before.zoneLiveElements);
+    EXPECT_EQ(report.after.value("zombies"), 0u);
+    EXPECT_EQ(report.after.value("ports"), report.before.value("ports"));
+    EXPECT_EQ(report.after.value("vmObjects"),
+              report.before.value("vmObjects"));
+    EXPECT_EQ(report.after.value("zoneElements"),
+              report.before.value("zoneElements"));
 
     // And the machine still works: an immediate clean fleet completes.
     FleetOptions clean = smallFleet();
@@ -297,9 +298,10 @@ TEST(FleetSoakTest, NetBurstMixPassesLeakAuditAndRecordsTraffic)
     // Socket teardown is part of the audit: no bound inet sockets and
     // no buffered bytes survive the drain.
     EXPECT_TRUE(report.auditClean) << report.auditDetail;
-    EXPECT_EQ(report.after.netSocketsLive, report.before.netSocketsLive);
-    EXPECT_EQ(report.after.netBufferedBytes,
-              report.before.netBufferedBytes);
+    EXPECT_EQ(report.after.value("netSockets"),
+              report.before.value("netSockets"));
+    EXPECT_EQ(report.after.value("netBufferedBytes"),
+              report.before.value("netBufferedBytes"));
     // Frames actually crossed the fabric.
     EXPECT_GT(sys.kernel().net().stats().framesRouted, 0u);
 }
@@ -317,7 +319,8 @@ TEST(FleetSoakTest, NetBurstSurvivesNicStormsWithCleanTeardown)
                   report.sessionsFailed,
               report.sessionsStarted);
     EXPECT_TRUE(report.auditClean) << report.auditDetail;
-    EXPECT_EQ(report.after.netSocketsLive, report.before.netSocketsLive);
+    EXPECT_EQ(report.after.value("netSockets"),
+              report.before.value("netSockets"));
 }
 
 TEST(FleetSoakTest, NetGateOnlyAppearsWithTheNetMix)

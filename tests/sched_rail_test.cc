@@ -352,21 +352,30 @@ TEST_F(SchedRailTest, ExplorerFindsAbBaDeadlockAndRecordsLockCycle)
 
 TEST_F(SchedRailTest, LockOrderCycleDetectedWithoutAnyDeadlock)
 {
-    // Pure host-thread inversion: A->B then B->A in sequence never
-    // deadlocks, but the graph still reports the latent cycle.
+    // A->B then B->A in sequence never deadlocks, but the graph still
+    // reports the latent cycle. One rail guest runs the sequence: its
+    // lck_mtx ownership is logical, so no host mutex is inverted and
+    // ThreadSanitizer's own lock-order check has nothing to flag.
     rail_.lockGraph().setTracking(true);
     ducttape::LckMtx *a = ducttape::lck_mtx_alloc_init("seqA");
     ducttape::LckMtx *b = ducttape::lck_mtx_alloc_init("seqB");
 
-    ducttape::lck_mtx_lock(a);
-    ducttape::lck_mtx_lock(b);
-    ducttape::lck_mtx_unlock(b);
-    ducttape::lck_mtx_unlock(a);
+    rail_.arm(SchedOptions{});
+    rail_.spawn("seq", [a, b] {
+        ducttape::lck_mtx_lock(a);
+        ducttape::lck_mtx_lock(b);
+        ducttape::lck_mtx_unlock(b);
+        ducttape::lck_mtx_unlock(a);
 
-    ducttape::lck_mtx_lock(b);
-    ducttape::lck_mtx_lock(a);
-    ducttape::lck_mtx_unlock(a);
-    ducttape::lck_mtx_unlock(b);
+        ducttape::lck_mtx_lock(b);
+        ducttape::lck_mtx_lock(a);
+        ducttape::lck_mtx_unlock(a);
+        ducttape::lck_mtx_unlock(b);
+    });
+    SchedResult r = rail_.run();
+    rail_.disarm();
+    ASSERT_TRUE(r.completed) << r.traceText();
+    EXPECT_FALSE(r.deadlocked);
 
     rail_.lockGraph().setTracking(false);
     EXPECT_EQ(rail_.lockGraph().nodeCount(), 2u);

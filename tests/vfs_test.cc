@@ -53,6 +53,29 @@ TEST_F(VfsTest, UnlinkDirectoryIsEISDIR)
     EXPECT_EQ(vfs_.unlink("/dir").err, lnx::ISDIR);
 }
 
+TEST_F(VfsTest, RenameDirectoryBeneathItselfIsEINVAL)
+{
+    vfs_.mkdirAll("/tmp/a/b");
+    EXPECT_EQ(vfs_.rename("/tmp/a", "/tmp/a/b/c").err, lnx::INVAL);
+    EXPECT_EQ(vfs_.rename("/tmp/a", "/tmp/a/c").err, lnx::INVAL);
+    // The tree is untouched: no cycle, nothing detached.
+    EXPECT_TRUE(vfs_.exists("/tmp/a/b"));
+    EXPECT_FALSE(vfs_.exists("/tmp/a/b/c"));
+    EXPECT_FALSE(vfs_.exists("/tmp/a/c"));
+    // A sibling destination is still fine.
+    EXPECT_TRUE(vfs_.rename("/tmp/a/b", "/tmp/b").ok());
+    EXPECT_TRUE(vfs_.exists("/tmp/b"));
+}
+
+TEST_F(VfsTest, RenameOfOrOntoRootIsEBUSY)
+{
+    vfs_.mkdirAll("/tmp/a");
+    EXPECT_EQ(vfs_.rename("/", "/tmp/a/r").err, lnx::BUSY);
+    EXPECT_EQ(vfs_.rename("/tmp/a", "/").err, lnx::BUSY);
+    EXPECT_TRUE(vfs_.exists("/tmp/a"));
+    EXPECT_FALSE(vfs_.exists("/tmp/a/r"));
+}
+
 TEST_F(VfsTest, LookupThroughFileIsENOTDIR)
 {
     vfs_.writeFile("/plain", {1});
