@@ -1,5 +1,6 @@
 #include "iokit/network.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "base/cost_clock.h"
@@ -15,46 +16,36 @@ void
 NetFabric::link(IONetworkController *controller)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    controllers_.push_back(controller);
+    controllers_.update([controller](auto &v) { v.push_back(controller); });
 }
 
 void
 NetFabric::unlink(IONetworkController *controller)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto it = controllers_.begin(); it != controllers_.end(); ++it) {
-        if (*it == controller) {
-            controllers_.erase(it);
-            return;
-        }
-    }
+    controllers_.update([controller](auto &v) {
+        auto it = std::find(v.begin(), v.end(), controller);
+        if (it != v.end())
+            v.erase(it);
+    });
 }
 
 bool
 NetFabric::carry(const kernel::NetFrame &frame)
 {
-    IONetworkController *target = nullptr;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        for (IONetworkController *c : controllers_) {
-            if (c->address() == frame.dstAddr) {
-                target = c;
-                break;
-            }
+    for (IONetworkController *c : controllers_.read()) {
+        if (c->address() == frame.dstAddr) {
+            c->deliver(frame);
+            return true;
         }
     }
-    if (!target)
-        return false;
-    // Lock released: delivery may transmit replies that re-enter us.
-    target->deliver(frame);
-    return true;
+    return false;
 }
 
 std::size_t
 NetFabric::linkCount() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return controllers_.size();
+    return controllers_.read().size();
 }
 
 // ------------------------------------------------------------ controller
@@ -119,48 +110,54 @@ IONetworkController::stop()
 bool
 IONetworkController::enqueueTx(const kernel::NetFrame &frame)
 {
-    // Decide under the lock, carry outside it: a carried frame's
-    // receiver may transmit replies that re-enter enqueueTx.
-    std::vector<kernel::NetFrame> carry;
-    {
+    if (!linkUp_.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lk(mu_);
-        if (!linkUp_) {
+        if (!linkUp_.load(std::memory_order_relaxed)) {
             // Ring-buffer while the link is down; overflow drops.
             if (txRing_.size() >= txDepth_) {
-                ++stats_.ringDrops;
+                counts_.ringDrops.add();
                 return false;
             }
             txRing_.push_back(frame);
             return true;
         }
+    }
 
-        ++stats_.txFrames;
-        stats_.txBytes += frame.payload.size();
+    counts_.txFrames.add();
+    counts_.txBytes.add(frame.payload.size());
 
-        if (CIDER_FAULT_POINT("nic.drop")) {
-            ++stats_.faultDrops;
-            return true; // the wire ate it; the sender cannot tell
-        }
-        if (CIDER_FAULT_POINT("nic.reorder") && !held_) {
+    // All three sites are evaluated, in this order, before anything is
+    // carried: a carried frame's receiver may transmit replies that
+    // re-enter enqueueTx and evaluate the sites for themselves.
+    if (CIDER_FAULT_POINT("nic.drop")) {
+        counts_.faultDrops.add();
+        return true; // the wire ate it; the sender cannot tell
+    }
+    const bool reorder = CIDER_FAULT_POINT("nic.reorder");
+    std::optional<kernel::NetFrame> held;
+    if (reorder || holding_.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (reorder && !held_) {
             // Hold this frame; it rides out after the next one (an
             // adjacent swap). A retransmit pump always pushes a later
             // frame through, so a held frame cannot be stranded.
             held_ = frame;
-            ++stats_.heldFrames;
+            holding_.store(true, std::memory_order_release);
+            counts_.heldFrames.add();
             return true;
         }
-        carry.push_back(frame);
-        if (CIDER_FAULT_POINT("nic.dup")) {
-            ++stats_.dupFrames;
-            carry.push_back(frame);
-        }
-        if (held_) {
-            carry.push_back(*held_);
-            held_.reset();
-        }
+        held.swap(held_);
+        holding_.store(false, std::memory_order_release);
     }
-    for (const kernel::NetFrame &f : carry)
-        carryCharged(f);
+    const bool dup = CIDER_FAULT_POINT("nic.dup");
+    if (dup)
+        counts_.dupFrames.add();
+
+    carryCharged(frame);
+    if (dup)
+        carryCharged(frame);
+    if (held)
+        carryCharged(*held);
     return true;
 }
 
@@ -176,19 +173,15 @@ IONetworkController::carryCharged(const kernel::NetFrame &frame)
 void
 IONetworkController::deliver(const kernel::NetFrame &frame)
 {
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.rxFrames;
-        stats_.rxBytes += frame.payload.size();
-    }
+    counts_.rxFrames.add();
+    counts_.rxBytes.add(frame.payload.size());
     stack_.input(frame);
 }
 
 bool
 IONetworkController::linkUp() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return linkUp_;
+    return linkUp_.load(std::memory_order_acquire);
 }
 
 void
@@ -197,9 +190,9 @@ IONetworkController::setLink(bool up)
     std::deque<kernel::NetFrame> flush;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (linkUp_ == up)
+        if (linkUp_.load(std::memory_order_relaxed) == up)
             return;
-        linkUp_ = up;
+        linkUp_.store(up, std::memory_order_release);
         if (up)
             flush.swap(txRing_);
     }
@@ -212,23 +205,36 @@ IONetworkController::setLink(bool up)
 NicStats
 IONetworkController::stats() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
+    NicStats s;
+    s.txFrames = counts_.txFrames.load();
+    s.txBytes = counts_.txBytes.load();
+    s.rxFrames = counts_.rxFrames.load();
+    s.rxBytes = counts_.rxBytes.load();
+    s.faultDrops = counts_.faultDrops.load();
+    s.dupFrames = counts_.dupFrames.load();
+    s.heldFrames = counts_.heldFrames.load();
+    s.ringDrops = counts_.ringDrops.load();
+    return s;
 }
 
 std::string
 IONetworkController::statsLine() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
+    NicStats s = stats();
+    std::size_t ring;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        ring = txRing_.size();
+    }
     std::ostringstream os;
     os << linuxName_ << " addr=" << addr_
-       << " link=" << (linkUp_ ? "up" : "down")
-       << " tx=" << stats_.txFrames << "/" << stats_.txBytes << "B"
-       << " rx=" << stats_.rxFrames << "/" << stats_.rxBytes << "B"
-       << " drops=" << stats_.faultDrops << " dup=" << stats_.dupFrames
-       << " held=" << stats_.heldFrames
-       << " ring_drops=" << stats_.ringDrops
-       << " ring=" << txRing_.size() << "/" << txDepth_;
+       << " link=" << (linkUp() ? "up" : "down")
+       << " tx=" << s.txFrames << "/" << s.txBytes << "B"
+       << " rx=" << s.rxFrames << "/" << s.rxBytes << "B"
+       << " drops=" << s.faultDrops << " dup=" << s.dupFrames
+       << " held=" << s.heldFrames
+       << " ring_drops=" << s.ringDrops
+       << " ring=" << ring << "/" << txDepth_;
     return os.str();
 }
 

@@ -21,6 +21,7 @@
 #ifndef CIDER_IOKIT_NETWORK_H
 #define CIDER_IOKIT_NETWORK_H
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -38,8 +39,9 @@ class IONetworkController;
 /**
  * The loopback wire: routes a frame to the controller owning the
  * destination address. Delivery is synchronous on the caller's host
- * thread; the fabric lock is never held across deliver(), so a
- * delivered frame may transmit replies that re-enter carry().
+ * thread. The controller list is a lock-free snapshot (the mutex only
+ * serialises link/unlink), so carry() takes no lock and a delivered
+ * frame may transmit replies that re-enter it.
  */
 class NetFabric
 {
@@ -54,8 +56,8 @@ class NetFabric
     std::size_t linkCount() const;
 
   private:
-    mutable std::mutex mu_;
-    std::vector<IONetworkController *> controllers_;
+    std::mutex mu_;
+    kernel::SnapshotList<IONetworkController *> controllers_;
 };
 
 /** IONetworkController external method selectors. */
@@ -112,7 +114,8 @@ class IONetworkController : public IOService
 
     /**
      * TX entry from the interface: fault sites, ring buffering while
-     * the link is down, cost charging, then fabric carry.
+     * the link is down, cost charging, then fabric carry. Lock-free
+     * while the link is up and no frame is held for reorder.
      */
     bool enqueueTx(const kernel::NetFrame &frame);
 
@@ -133,6 +136,13 @@ class IONetworkController : public IOService
     /** Charge link latency + serialisation, then carry on the fabric. */
     void carryCharged(const kernel::NetFrame &frame);
 
+    /** NicStats, counted per host thread (see HostShardedCounter). */
+    struct Counters
+    {
+        kernel::HostShardedCounter txFrames, txBytes, rxFrames, rxBytes,
+            faultDrops, dupFrames, heldFrames, ringDrops;
+    };
+
     IORegistry &registry_;
     kernel::NetStack &stack_;
     NetFabric &fabric_;
@@ -143,11 +153,13 @@ class IONetworkController : public IOService
     std::size_t txDepth_ = 16;
     IONetworkInterface *iface_ = nullptr;
 
+    std::atomic<bool> linkUp_{true}; ///< written under mu_
+    std::atomic<bool> holding_{false}; ///< held_ is set; written under mu_
+    /** Guards the slow path only: txRing_ and held_. */
     mutable std::mutex mu_;
-    bool linkUp_ = true;
     std::deque<kernel::NetFrame> txRing_; ///< buffered while link down
     std::optional<kernel::NetFrame> held_; ///< nic.reorder swap slot
-    NicStats stats_;
+    Counters counts_;
 };
 
 /**

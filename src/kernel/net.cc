@@ -1,6 +1,7 @@
 #include "kernel/net.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "base/cost_clock.h"
@@ -43,8 +44,8 @@ InetSocket::InetSocket(NetStack &stack, NetProto proto)
 InetSocket::~InetSocket()
 {
     stack_.socketsLive_.fetch_sub(1);
-    stack_.retransmits_.fetch_add(retransmits_);
-    stack_.dupSegments_.fetch_add(dupSegments_);
+    stack_.retransmits_.add(retransmits_);
+    stack_.dupSegments_.add(dupSegments_);
 }
 
 InetSocket::State InetSocket::state() const
@@ -232,10 +233,8 @@ SyscallResult InetSocket::read(Thread &t, Bytes &out, std::size_t n)
         }
         windowWasClosed = advertisedWindowLocked() == 0;
         std::size_t take = std::min(n, rcvBuf_.size());
-        out.assign(rcvBuf_.begin(),
-                   rcvBuf_.begin() + static_cast<long>(take));
-        rcvBuf_.erase(rcvBuf_.begin(),
-                      rcvBuf_.begin() + static_cast<long>(take));
+        out.assign(rcvBuf_.data(), rcvBuf_.data() + take);
+        rcvBuf_.consume(take);
     }
     charge(stack_.profile().netSegmentNs / 2);
     if (windowWasClosed) {
@@ -279,8 +278,7 @@ SyscallResult InetSocket::write(Thread &t, const Bytes &data)
             cv_.wait(lk);
         }
         taken = std::min(data.size(), kSndCap - sndBuf_.size());
-        sndBuf_.insert(sndBuf_.end(), data.begin(),
-                       data.begin() + static_cast<long>(taken));
+        sndBuf_.append(data.data(), taken);
         buildSegmentsLocked(frames);
     }
     sendFrames(frames);
@@ -300,10 +298,8 @@ void InetSocket::buildSegmentsLocked(std::vector<NetFrame> &out)
         std::uint32_t len = std::min<std::uint32_t>(
             {static_cast<std::uint32_t>(kSegSize), avail,
              peerWindow_ - inflight});
-        std::size_t off = sndNext_ - sndUna_;
-        Bytes payload(sndBuf_.begin() + static_cast<long>(off),
-                      sndBuf_.begin() +
-                          static_cast<long>(off + len));
+        const std::uint8_t *from = sndBuf_.data() + (sndNext_ - sndUna_);
+        Bytes payload(from, from + len);
         out.push_back(
             frameLocked(netflag::ACK, sndNext_, std::move(payload)));
         sndNext_ += len;
@@ -327,8 +323,7 @@ void InetSocket::retransmitLocked(std::vector<NetFrame> &out)
     if (sndUna_ < dataEnd) {
         std::uint32_t len = std::min<std::uint32_t>(
             static_cast<std::uint32_t>(kSegSize), dataEnd - sndUna_);
-        Bytes payload(sndBuf_.begin(),
-                      sndBuf_.begin() + static_cast<long>(len));
+        Bytes payload(sndBuf_.data(), sndBuf_.data() + len);
         out.push_back(
             frameLocked(netflag::ACK, sndUna_, std::move(payload)));
     } else if (finSent_ && !finAcked_) {
@@ -407,7 +402,7 @@ void InetSocket::abort()
     if (send) {
         charge(stack_.profile().netSegmentNs);
         stack_.transmitFrame(rst);
-        stack_.resetsSent_.fetch_add(1);
+        stack_.resetsSent_.add();
     }
     stack_.eraseConn(*this);
 }
@@ -423,6 +418,10 @@ void InetSocket::closed()
             orphans.assign(pendingAccept_.begin(),
                            pendingAccept_.end());
             pendingAccept_.clear();
+            for (const std::weak_ptr<InetSocket> &w : synRcvd_)
+                if (InetSocketPtr child = w.lock())
+                    orphans.push_back(std::move(child));
+            synRcvd_.clear();
             state_ = State::Dead;
         }
         cv_.notify_all();
@@ -431,7 +430,7 @@ void InetSocket::closed()
     case State::Listening:
         stack_.unbindListener(*this);
         // Connections nobody will ever accept get aborted, as a real
-        // listener teardown RSTs its accept queue.
+        // listener teardown RSTs its accept and SYN queues.
         for (const InetSocketPtr &child : orphans)
             child->abort();
         break;
@@ -660,8 +659,7 @@ void InetSocket::absorbAckLocked(const NetFrame &frame,
         std::uint32_t bytes = std::min(
             ack - sndUna_,
             static_cast<std::uint32_t>(sndBuf_.size()));
-        sndBuf_.erase(sndBuf_.begin(),
-                      sndBuf_.begin() + static_cast<long>(bytes));
+        sndBuf_.consume(bytes);
         sndUna_ = ack;
         if (finSent_ && ack == finSeq_ + 1)
             finAcked_ = true;
@@ -695,10 +693,7 @@ void InetSocket::absorbDataLocked(const NetFrame &frame,
         // In-order (possibly partially duplicate) segment.
         std::uint32_t skip = rcvNext_ - seq;
         if (!rdShut_)
-            rcvBuf_.insert(rcvBuf_.end(),
-                           frame.payload.begin() +
-                               static_cast<long>(skip),
-                           frame.payload.end());
+            rcvBuf_.append(frame.payload.data() + skip, len - skip);
         rcvNext_ = seq + len;
         // Drain any out-of-order segments this unblocked.
         auto it = ooo_.begin();
@@ -710,10 +705,7 @@ void InetSocket::absorbDataLocked(const NetFrame &frame,
             if (send + slen > rcvNext_) {
                 std::uint32_t sk = rcvNext_ - send;
                 if (!rdShut_)
-                    rcvBuf_.insert(rcvBuf_.end(),
-                                   seg.begin() +
-                                       static_cast<long>(sk),
-                                   seg.end());
+                    rcvBuf_.append(seg.data() + sk, slen - sk);
                 rcvNext_ = send + slen;
             }
             oooBytes_ -= seg.size();
@@ -726,7 +718,7 @@ void InetSocket::absorbDataLocked(const NetFrame &frame,
         auto [it, fresh] = ooo_.emplace(seq, frame.payload);
         if (fresh) {
             oooBytes_ += len;
-            stack_.oooQueued_.fetch_add(1);
+            stack_.oooQueued_.add();
         } else {
             ++dupSegments_;
         }
@@ -740,7 +732,7 @@ void InetSocket::dgramInput(const NetFrame &frame)
 {
     std::lock_guard<std::mutex> lk(mu_);
     if (dgrams_.size() >= kDgramQueueCap) {
-        stack_.dgramDrops_.fetch_add(1);
+        stack_.dgramDrops_.add();
         return;
     }
     dgrams_.push_back(
@@ -754,8 +746,8 @@ InetSocketPtr InetSocket::handleSyn(const NetFrame &frame,
     std::lock_guard<std::mutex> lk(mu_);
     refused = false;
     if (state_ != State::Listening ||
-        static_cast<int>(pendingAccept_.size()) + synRcvdCount_ >=
-            backlog_) {
+        pendingAccept_.size() + synRcvd_.size() >=
+            static_cast<std::size_t>(backlog_)) {
         refused = true;
         return nullptr;
     }
@@ -769,7 +761,7 @@ InetSocketPtr InetSocket::handleSyn(const NetFrame &frame,
     child->peerWindow_ = frame.window;
     child->listener_ = weak_from_this();
     child->countedInSynBacklog_ = true;
-    ++synRcvdCount_;
+    synRcvd_.push_back(child);
     return child;
 }
 
@@ -782,11 +774,20 @@ bool InetSocket::consumeSynBacklogSlot()
     return true;
 }
 
-void InetSocket::childAborted()
+void InetSocket::forgetSynChildLocked(const InetSocket &child)
+{
+    auto it = std::find_if(synRcvd_.begin(), synRcvd_.end(),
+                           [&child](const std::weak_ptr<InetSocket> &w) {
+                               return w.lock().get() == &child;
+                           });
+    if (it != synRcvd_.end())
+        synRcvd_.erase(it);
+}
+
+void InetSocket::childAborted(const InetSocket &child)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    if (synRcvdCount_ > 0)
-        --synRcvdCount_;
+    forgetSynChildLocked(child);
 }
 
 void InetSocket::enqueuePending(const InetSocketPtr &child)
@@ -794,9 +795,8 @@ void InetSocket::enqueuePending(const InetSocketPtr &child)
     child->consumeSynBacklogSlot();
     std::lock_guard<std::mutex> lk(mu_);
     if (state_ != State::Listening)
-        return; // listener died mid-handshake; nobody will accept
-    if (synRcvdCount_ > 0)
-        --synRcvdCount_;
+        return; // the listener's close aborted this child
+    forgetSynChildLocked(*child);
     pendingAccept_.push_back(child);
     cv_.notify_all();
 }
@@ -825,27 +825,26 @@ NetStack::NetStack(const hw::DeviceProfile &profile) : profile_(profile)
 void NetStack::attach(NetDevice *dev)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    devices_.push_back(dev);
+    devices_.update([dev](std::vector<NetDevice *> &v) { v.push_back(dev); });
 }
 
 void NetStack::detach(NetDevice *dev)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    devices_.erase(
-        std::remove(devices_.begin(), devices_.end(), dev),
-        devices_.end());
+    devices_.update([dev](std::vector<NetDevice *> &v) {
+        v.erase(std::remove(v.begin(), v.end(), dev), v.end());
+    });
 }
 
 std::vector<NetDevice *> NetStack::devices() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return devices_;
+    return devices_.read();
 }
 
 NetAddr NetStack::defaultAddr() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return devices_.empty() ? 0 : devices_.front()->address();
+    const std::vector<NetDevice *> &devs = devices_.read();
+    return devs.empty() ? 0 : devs.front()->address();
 }
 
 InetSocketPtr NetStack::socket(NetProto proto)
@@ -868,9 +867,9 @@ SyscallResult NetStack::bindSocket(const InetSocketPtr &sock,
 {
     if (port == 0)
         port = ephemeralPort();
+    if (addr == 0 && !listening)
+        addr = defaultAddr();
     std::lock_guard<std::mutex> lk(mu_);
-    if (addr == 0 && !listening && !devices_.empty())
-        addr = devices_.front()->address();
     PortKey key{addr, port};
     auto &table = proto == NetProto::Dgram ? dgrams_ : listeners_;
     if (proto == NetProto::Dgram || listening) {
@@ -888,18 +887,39 @@ SyscallResult NetStack::bindSocket(const InetSocketPtr &sock,
     return SyscallResult::success(0);
 }
 
+NetStack::ConnKey NetStack::connKeyOf(const InetSocket &sock)
+{
+    return ConnKey{sock.localAddr_, sock.remoteAddr_, sock.localPort_,
+                   sock.remotePort_};
+}
+
+NetStack::ConnShard &NetStack::shardOf(const ConnKey &key)
+{
+    // Symmetric in the two endpoints, so both ends of a hairpinned
+    // connection (driven by one host thread) share one shard; a
+    // Fibonacci multiply spreads consecutive port pairs.
+    static_assert(std::has_single_bit(kConnShards));
+    std::uint64_t mix =
+        (std::uint64_t{key.localAddr ^ key.remoteAddr} << 32) |
+        (std::uint32_t{key.localPort} + key.remotePort);
+    mix *= 0x9E3779B97F4A7C15ull;
+    return conns_[mix >> (64 - std::bit_width(kConnShards - 1))];
+}
+
 void NetStack::registerConn(const InetSocketPtr &sock)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    conns_[ConnKey{sock->localAddr_, sock->remoteAddr_,
-                   sock->localPort_, sock->remotePort_}] = sock;
+    ConnKey key = connKeyOf(*sock);
+    ConnShard &shard = shardOf(key);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    shard.conns[key] = sock;
 }
 
 void NetStack::eraseConn(const InetSocket &sock)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    conns_.erase(ConnKey{sock.localAddr_, sock.remoteAddr_,
-                         sock.localPort_, sock.remotePort_});
+    ConnKey key = connKeyOf(sock);
+    ConnShard &shard = shardOf(key);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    shard.conns.erase(key);
 }
 
 void NetStack::unbindListener(const InetSocket &sock)
@@ -920,22 +940,20 @@ void NetStack::unbindDgram(const InetSocket &sock)
 
 bool NetStack::transmitFrame(const NetFrame &frame)
 {
+    const std::vector<NetDevice *> &devs = devices_.read();
     NetDevice *dev = nullptr;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        for (NetDevice *d : devices_)
-            if (d->address() == frame.srcAddr) {
-                dev = d;
-                break;
-            }
-        if (dev == nullptr && !devices_.empty())
-            dev = devices_.front();
-    }
+    for (NetDevice *d : devs)
+        if (d->address() == frame.srcAddr) {
+            dev = d;
+            break;
+        }
+    if (dev == nullptr && !devs.empty())
+        dev = devs.front();
     if (dev == nullptr) {
-        framesNoRoute_.fetch_add(1);
+        framesNoRoute_.add();
         return false;
     }
-    framesRouted_.fetch_add(1);
+    framesRouted_.add();
     return dev->transmit(frame);
 }
 
@@ -951,7 +969,7 @@ void NetStack::sendRst(const NetFrame &cause)
     rst.srcPort = cause.dstPort;
     rst.dstPort = cause.srcPort;
     rst.ack = cause.seq;
-    resetsSent_.fetch_add(1);
+    resetsSent_.add();
     transmitFrame(rst);
 }
 
@@ -972,8 +990,8 @@ void NetStack::input(const NetFrame &frame)
         if (sock) {
             sock->dgramInput(frame);
         } else {
-            framesNoPort_.fetch_add(1);
-            dgramDrops_.fetch_add(1);
+            framesNoPort_.add();
+            dgramDrops_.add();
         }
         return;
     }
@@ -981,10 +999,12 @@ void NetStack::input(const NetFrame &frame)
     // Stream: established connection first, then listeners for SYNs.
     InetSocketPtr sock;
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = conns_.find(ConnKey{frame.dstAddr, frame.srcAddr,
-                                      frame.dstPort, frame.srcPort});
-        if (it != conns_.end())
+        ConnKey key{frame.dstAddr, frame.srcAddr, frame.dstPort,
+                    frame.srcPort};
+        ConnShard &shard = shardOf(key);
+        std::lock_guard<std::mutex> lk(shard.mu);
+        auto it = shard.conns.find(key);
+        if (it != shard.conns.end())
             sock = it->second;
     }
     if (sock) {
@@ -996,7 +1016,7 @@ void NetStack::input(const NetFrame &frame)
             // A child RST before promotion frees its backlog slot.
             if (sock->consumeSynBacklogSlot())
                 if (InetSocketPtr l = sock->listener_.lock())
-                    l->childAborted();
+                    l->childAborted(*sock);
         }
         if (verdict == InetSocket::InputVerdict::Promoted) {
             if (InetSocketPtr l = sock->listener_.lock())
@@ -1026,12 +1046,12 @@ void NetStack::input(const NetFrame &frame)
             InetSocketPtr child =
                 listener->handleSyn(frame, refused);
             if (child) {
-                {
-                    std::lock_guard<std::mutex> lk(mu_);
-                    conns_[ConnKey{child->localAddr_,
-                                   child->remoteAddr_,
-                                   child->localPort_,
-                                   child->remotePort_}] = child;
+                registerConn(child);
+                // A listener closed since handleSyn has aborted the
+                // child already; do not leave it in the table.
+                if (child->state() == InetSocket::State::Dead) {
+                    eraseConn(*child);
+                    return;
                 }
                 NetFrame synack = child->frameLocked(
                     netflag::SYN | netflag::ACK, 0);
@@ -1040,11 +1060,11 @@ void NetStack::input(const NetFrame &frame)
                 return;
             }
             if (refused)
-                synRefused_.fetch_add(1);
+                synRefused_.add();
         }
     }
 
-    framesNoPort_.fetch_add(1);
+    framesNoPort_.add();
     sendRst(frame);
 }
 
@@ -1064,10 +1084,13 @@ NetStats NetStack::stats() const
     s.dgramDrops = dgramDrops_.load();
 
     std::vector<InetSocketPtr> bound;
+    for (ConnShard &shard : conns_) {
+        std::lock_guard<std::mutex> lk(shard.mu);
+        for (const auto &[k, v] : shard.conns)
+            bound.push_back(v);
+    }
     {
         std::lock_guard<std::mutex> lk(mu_);
-        for (const auto &[k, v] : conns_)
-            bound.push_back(v);
         for (const auto &[k, v] : dgrams_)
             bound.push_back(v);
     }
@@ -1098,24 +1121,34 @@ std::string NetStack::dump() const
        << "udp-lite: drops=" << s.dgramDrops << "\n"
        << "buffered-bytes: " << s.bufferedBytes << "\n";
 
-    std::vector<NetDevice *> devs;
-    std::vector<InetSocketPtr> socks;
+    // Listeners, connections in key order, then datagram sockets.
+    std::vector<InetSocketPtr> listeners, dgrams;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        devs = devices_;
         for (const auto &[k, v] : listeners_)
-            socks.push_back(v);
-        for (const auto &[k, v] : conns_)
-            socks.push_back(v);
+            listeners.push_back(v);
         for (const auto &[k, v] : dgrams_)
-            socks.push_back(v);
+            dgrams.push_back(v);
     }
+    std::vector<std::pair<ConnKey, InetSocketPtr>> conns;
+    for (ConnShard &shard : conns_) {
+        std::lock_guard<std::mutex> lk(shard.mu);
+        conns.insert(conns.end(), shard.conns.begin(),
+                     shard.conns.end());
+    }
+    std::sort(conns.begin(), conns.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+
     os << "devices:\n";
-    for (NetDevice *d : devs)
+    for (NetDevice *d : devices_.read())
         os << "  " << d->ifName() << " addr=" << d->address() << " "
            << d->statsLine() << "\n";
     os << "sockets:\n";
-    for (const InetSocketPtr &sock : socks)
+    for (const InetSocketPtr &sock : listeners)
+        os << "  " << sock->describe() << "\n";
+    for (const auto &[key, sock] : conns)
+        os << "  " << sock->describe() << "\n";
+    for (const InetSocketPtr &sock : dgrams)
         os << "  " << sock->describe() << "\n";
     return os.str();
 }

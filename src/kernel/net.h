@@ -28,6 +28,7 @@
 #ifndef CIDER_KERNEL_NET_H
 #define CIDER_KERNEL_NET_H
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -107,6 +108,127 @@ class NetDevice
     virtual bool transmit(const NetFrame &frame) = 0;
     /** One-line stats summary for /proc/cider/net (optional). */
     virtual std::string statsLine() const { return {}; }
+};
+
+/**
+ * A statistics counter split into cache-line-padded shards, one per
+ * host thread, summed on read. A host thread takes the next shard
+ * round-robin at its first add, so the few threads of an executor
+ * pool count on private lines and a counter bumped on every frame
+ * never bounces between cores. Shards follow host threads, not
+ * simulated CPUs: a stolen job keeps counting on its thread's line.
+ */
+class HostShardedCounter
+{
+  public:
+    void add(std::uint64_t n = 1)
+    {
+        shards_[hostShard()].value.fetch_add(n,
+                                             std::memory_order_relaxed);
+    }
+
+    std::uint64_t load() const
+    {
+        std::uint64_t sum = 0;
+        for (const Shard &s : shards_)
+            sum += s.value.load(std::memory_order_relaxed);
+        return sum;
+    }
+
+  private:
+    static constexpr unsigned kShards = 8;
+
+    struct alignas(64) Shard
+    {
+        std::atomic<std::uint64_t> value{0};
+    };
+
+    static unsigned hostShard()
+    {
+        static std::atomic<unsigned> next{0};
+        thread_local const unsigned mine =
+            next.fetch_add(1, std::memory_order_relaxed) % kShards;
+        return mine;
+    }
+
+    std::array<Shard, kShards> shards_{};
+};
+
+/**
+ * A read-mostly list published as immutable snapshots. Writers edit a
+ * copy under the owner's mutex and publish it with one release store;
+ * readers take one acquire load and no lock. Superseded snapshots are
+ * kept until the owner dies, so a reader still walking one never sees
+ * freed memory — the lists change only at driver start/stop, a few
+ * times per system.
+ */
+template <typename T>
+class SnapshotList
+{
+  public:
+    SnapshotList()
+    {
+        all_.push_back(std::make_unique<const std::vector<T>>());
+        cur_.store(all_.back().get(), std::memory_order_release);
+    }
+
+    const std::vector<T> &read() const
+    {
+        return *cur_.load(std::memory_order_acquire);
+    }
+
+    /** Publish edit(copy of the current list). The caller holds the
+     *  owner's mutex, so writers never race each other. */
+    template <typename Edit>
+    void update(Edit edit)
+    {
+        auto next = std::make_unique<std::vector<T>>(read());
+        edit(*next);
+        cur_.store(next.get(), std::memory_order_release);
+        all_.push_back(std::move(next));
+    }
+
+  private:
+    std::vector<std::unique_ptr<const std::vector<T>>> all_;
+    std::atomic<const std::vector<T> *> cur_{nullptr};
+};
+
+/**
+ * A socket's byte queue: one contiguous buffer with a head offset.
+ * Consuming advances the head; the dead prefix is reclaimed when the
+ * queue drains, or moved out by an append once it is at least as long
+ * as the live bytes (so each byte moves at most once on average).
+ */
+class ByteFifo
+{
+  public:
+    std::size_t size() const { return buf_.size() - head_; }
+    bool empty() const { return head_ == buf_.size(); }
+    /** The oldest queued byte; valid until the next append/consume. */
+    const std::uint8_t *data() const { return buf_.data() + head_; }
+
+    void append(const std::uint8_t *p, std::size_t n)
+    {
+        if (head_ != 0 && head_ >= size()) {
+            buf_.erase(buf_.begin(),
+                       buf_.begin() + static_cast<long>(head_));
+            head_ = 0;
+        }
+        buf_.insert(buf_.end(), p, p + n);
+    }
+
+    void consume(std::size_t n)
+    {
+        head_ += n;
+        if (head_ == buf_.size()) {
+            buf_.clear();
+            head_ = 0;
+        }
+    }
+
+  private:
+    Bytes buf_;
+    std::size_t head_ = 0;
 };
 
 /** Aggregate stack counters (leak audit + /proc/cider/net). */
@@ -230,7 +352,7 @@ class InetSocket : public OpenFile,
         ConnDead, // RST processed: unlink the connection entry
     };
 
-    // Frame handlers (called by NetStack with no stack lock held;
+    // Frame handlers (called by NetStack with no table lock held;
     // they take the socket lock and append any protocol replies to
     // @p replies for the caller to transmit after unlock).
     InputVerdict streamInput(const NetFrame &frame,
@@ -242,7 +364,9 @@ class InetSocket : public OpenFile,
     /** True exactly once for a child that died before promotion, so
      *  the listener's SYN-backlog slot can be returned. */
     bool consumeSynBacklogSlot();
-    void childAborted();
+    void childAborted(const InetSocket &child);
+    /** Drop @p child from synRcvd_ (listener mu_ held). */
+    void forgetSynChildLocked(const InetSocket &child);
 
     // All *Locked helpers require mu_ held.
     void buildSegmentsLocked(std::vector<NetFrame> &out);
@@ -270,7 +394,7 @@ class InetSocket : public OpenFile,
     NetPort remotePort_ = 0;
 
     // --- send side (stream) ---
-    std::deque<std::uint8_t> sndBuf_; // bytes [sndUna_, una+size)
+    ByteFifo sndBuf_;                 // bytes [sndUna_, una+size)
     std::uint32_t sndUna_ = 0;        // oldest unacked seq
     std::uint32_t sndNext_ = 0;       // next seq to transmit
     std::uint32_t peerWindow_ = 0;
@@ -284,7 +408,7 @@ class InetSocket : public OpenFile,
     int stalePumps_ = 0;
 
     // --- receive side (stream) ---
-    std::deque<std::uint8_t> rcvBuf_;
+    ByteFifo rcvBuf_;
     std::size_t rcvCap_ = 64 * 1024;
     std::uint32_t rcvNext_ = 0;
     std::map<std::uint32_t, Bytes> ooo_;
@@ -297,7 +421,9 @@ class InetSocket : public OpenFile,
 
     // --- listener ---
     int backlog_ = 0;
-    int synRcvdCount_ = 0;
+    /** Passive children still in the handshake: they count against
+     *  the backlog and are aborted if the listener closes first. */
+    std::vector<std::weak_ptr<InetSocket>> synRcvd_;
     std::deque<InetSocketPtr> pendingAccept_;
     std::weak_ptr<InetSocket> listener_; // set on passive children
     bool countedInSynBacklog_ = false;
@@ -312,10 +438,20 @@ class InetSocket : public OpenFile,
 /**
  * The AF_INET stack: port tables, connection lookup, and the route
  * from sockets to attached NICs. Owned by the Kernel; NICs attach at
- * I/O Kit driver start. The stack lock covers only the tables — it is
- * released before any socket lock is taken and before any transmit,
- * so lock order is always {stack} then {one socket}, never two
- * sockets and never socket-then-stack.
+ * I/O Kit driver start.
+ *
+ * The per-frame path takes no lock that other connections share: the
+ * device route is a lock-free snapshot, connection demux goes to one
+ * of kConnShards padded shards with their own mutex, and the frame
+ * counters are host-thread sharded. The stack mutex covers the
+ * listener and datagram tables and serialises device attach/detach.
+ *
+ * Lock order: {stack tables} or {one connection shard}, then {one
+ * socket}. Never two shards, never the stack mutex and a shard
+ * together, never two sockets, never socket-then-stack or
+ * socket-then-shard. Every table lock is released before any
+ * transmit, and a NIC's mutex is taken only off its fast path (link
+ * down, or a frame held for reorder), never around delivery.
  */
 class NetStack
 {
@@ -349,6 +485,8 @@ class NetStack
     NetAddr defaultAddr() const;
 
   private:
+    static constexpr std::size_t kConnShards = 32;
+
     friend class InetSocket;
 
     using PortKey = std::pair<NetAddr, NetPort>;
@@ -367,6 +505,16 @@ class NetStack
         }
     };
 
+    /** Connections of the keys that hash to it. Padded so two shards
+     *  never share a cache line. */
+    struct alignas(64) ConnShard
+    {
+        std::mutex mu;
+        std::map<ConnKey, InetSocketPtr> conns;
+    };
+
+    ConnShard &shardOf(const ConnKey &key);
+    static ConnKey connKeyOf(const InetSocket &sock);
     NetPort ephemeralPort();
     SyscallResult bindSocket(const InetSocketPtr &sock, NetAddr addr,
                              NetPort port, NetProto proto,
@@ -378,24 +526,28 @@ class NetStack
     void sendRst(const NetFrame &cause);
 
     const hw::DeviceProfile &profile_;
-    mutable std::mutex mu_;
-    std::vector<NetDevice *> devices_;
-    std::map<PortKey, InetSocketPtr> listeners_;
-    std::map<ConnKey, InetSocketPtr> conns_;
-    std::map<PortKey, InetSocketPtr> dgrams_;
-    std::atomic<std::uint32_t> ephemeral_{0};
 
+    // Counters come before the tables: sockets the tables still hold
+    // update them from their destructors when the stack dies.
     std::atomic<std::uint64_t> socketsLive_{0};
     std::atomic<std::uint64_t> socketsCreated_{0};
-    std::atomic<std::uint64_t> framesRouted_{0};
-    std::atomic<std::uint64_t> framesNoRoute_{0};
-    std::atomic<std::uint64_t> framesNoPort_{0};
-    std::atomic<std::uint64_t> resetsSent_{0};
-    std::atomic<std::uint64_t> synRefused_{0};
-    std::atomic<std::uint64_t> retransmits_{0};
-    std::atomic<std::uint64_t> dupSegments_{0};
-    std::atomic<std::uint64_t> oooQueued_{0};
-    std::atomic<std::uint64_t> dgramDrops_{0};
+    HostShardedCounter framesRouted_;
+    HostShardedCounter framesNoRoute_;
+    HostShardedCounter framesNoPort_;
+    HostShardedCounter resetsSent_;
+    HostShardedCounter synRefused_;
+    HostShardedCounter retransmits_;
+    HostShardedCounter dupSegments_;
+    HostShardedCounter oooQueued_;
+    HostShardedCounter dgramDrops_;
+
+    /** Guards listeners_, dgrams_ and devices_ updates. */
+    mutable std::mutex mu_;
+    SnapshotList<NetDevice *> devices_;
+    std::map<PortKey, InetSocketPtr> listeners_;
+    std::map<PortKey, InetSocketPtr> dgrams_;
+    mutable std::array<ConnShard, kConnShards> conns_;
+    std::atomic<std::uint32_t> ephemeral_{0};
 };
 
 } // namespace cider::kernel

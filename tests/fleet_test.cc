@@ -116,9 +116,10 @@ TEST(SloTest, ScaleRelaxesCeilingsAndFloors)
     for (std::size_t i = 0; i < tight.size(); ++i) {
         EXPECT_EQ(relaxed[i].p50CeilingNs, tight[i].p50CeilingNs * 4);
         EXPECT_EQ(relaxed[i].p99CeilingNs, tight[i].p99CeilingNs * 4);
-        if (tight[i].minOpsPerVirtualSec > 0)
+        if (tight[i].minOpsPerVirtualSec > 0) {
             EXPECT_LT(relaxed[i].minOpsPerVirtualSec,
                       tight[i].minOpsPerVirtualSec);
+        }
     }
 }
 

@@ -34,6 +34,7 @@
 #include "kernel/kernel.h"
 #include "kernel/linux_syscalls.h"
 #include "kernel/net.h"
+#include "kernel/percpu.h"
 #include "kernel/sched_rail.h"
 #include "persona/persona.h"
 #include "xnu/kqueue.h"
@@ -48,6 +49,22 @@ nextPort()
 {
     static std::atomic<std::uint16_t> next{10000};
     return next.fetch_add(1);
+}
+
+/** Seeded xorshift payload. */
+Bytes
+patternBytes(std::uint64_t seed, std::size_t n)
+{
+    Bytes out;
+    out.reserve(n);
+    std::uint64_t x = seed | 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        out.push_back(static_cast<std::uint8_t>(x));
+    }
+    return out;
 }
 
 class NetSocketTest : public ::testing::Test
@@ -258,6 +275,29 @@ TEST_F(NetSocketTest, CloseWithUnreadDataResetsThePeer)
     kernel_.sysClose(*thread_, cfd);
 }
 
+TEST_F(NetSocketTest, ListenerCloseAbortsHandshakesItNeverPromoted)
+{
+    // The handshake's final ACK is lost, so the passive child stays
+    // half-open; the client's FIN is lost too. Closing the listener
+    // must reap the child, which no descriptor refers to.
+    const std::uint64_t live0 = kernel_.net().stats().socketsLive;
+    NetPort port = nextPort();
+    Fd lfd = streamFd();
+    ASSERT_TRUE(kernel_.sysNetBind(*thread_, lfd, 0, port).ok());
+    ASSERT_TRUE(kernel_.sysListen(*thread_, lfd, 4).ok());
+    int one = 1;
+    kernel_.sysIoctl(*thread_, lfd, netio::FIONBIO, &one);
+    Fd cfd = streamFd();
+    FaultRail::global().armNth("nic.drop", 3); // SYN, SYNACK, *ACK*
+    ASSERT_TRUE(kernel_.sysNetConnect(*thread_, cfd, 1, port).ok());
+    FaultRail::global().armEveryK("nic.drop", 1);
+    EXPECT_FALSE(kernel_.sysAccept(*thread_, lfd).ok());
+    kernel_.sysClose(*thread_, cfd);
+    FaultRail::global().disarmAll();
+    kernel_.sysClose(*thread_, lfd);
+    EXPECT_EQ(kernel_.net().stats().socketsLive, live0);
+}
+
 // ---------------------------------------------------------------------------
 // Readiness: select and kqueue over inet fds.
 
@@ -378,6 +418,122 @@ TEST_F(NetSocketTest, ProcNetReportsLiveState)
 }
 
 // ---------------------------------------------------------------------------
+// Concurrency: four connections share the one NIC, one per simulated
+// CPU, streamed at once from executor workers. The NIC, fabric and
+// connection tables are shared by all four; every byte must arrive,
+// and the run must bill exactly the frames, bytes and per-connection
+// virtual ns of the same streams run on one host thread.
+
+TEST_F(NetSocketTest, ConcurrentStreamsOverOneNic)
+{
+    constexpr unsigned kConns = 4;
+    iokit::IONetworkController *nic = nullptr;
+    for (iokit::IOService *svc : catalogue_.services())
+        if (auto *c = dynamic_cast<iokit::IONetworkController *>(svc);
+            c && c->linuxName() == "eth0")
+            nic = c;
+    ASSERT_NE(nic, nullptr);
+
+    struct Conn
+    {
+        Thread *thread = nullptr;
+        InetSocketPtr cli, peer;
+        Bytes payload, got;
+        std::uint64_t virtualNs = 0;
+    };
+    struct Outcome
+    {
+        std::vector<std::uint64_t> virtualNs;
+        iokit::NicStats nic;
+        std::uint64_t framesRouted = 0;
+    };
+
+    auto run = [&](unsigned host_threads) {
+        std::vector<Conn> conns(kConns);
+        for (unsigned i = 0; i < kConns; ++i) {
+            Conn &c = conns[i];
+            c.thread = &kernel_.createProcess("stream" + std::to_string(i),
+                                              Persona::Ios)
+                            .mainThread();
+            ThreadScope scope(*c.thread);
+            NetPort port = nextPort();
+            InetSocketPtr srv = kernel_.net().socket(NetProto::Stream);
+            c.cli = kernel_.net().socket(NetProto::Stream);
+            EXPECT_TRUE(srv->bind(0, port).ok());
+            EXPECT_TRUE(srv->listen(1).ok());
+            EXPECT_TRUE(c.cli->connectTo(1, port).ok());
+            EXPECT_TRUE(srv->accept(c.peer).ok());
+            srv->closed();
+            c.cli->setNonblocking(true);
+            c.peer->setNonblocking(true);
+            c.payload = patternBytes(300 + i, 24 * 1024 + 1000 * i);
+        }
+
+        const iokit::NicStats nic0 = nic->stats();
+        const std::uint64_t routed0 = kernel_.net().stats().framesRouted;
+        ExecutorPool pool(kernel_.percpu(), host_threads);
+        for (unsigned i = 0; i < kConns; ++i) {
+            Conn *c = &conns[i];
+            pool.submitOn(i % kernel_.percpu().count(), [c] {
+                ThreadScope scope(*c->thread);
+                std::uint64_t v0 = c->thread->clock().now();
+                std::size_t sent = 0;
+                for (int spins = 0;
+                     c->got.size() < c->payload.size() && spins < 100000;
+                     ++spins) {
+                    if (sent < c->payload.size()) {
+                        std::size_t n = std::min<std::size_t>(
+                            1500, c->payload.size() - sent);
+                        Bytes b(c->payload.begin() +
+                                    static_cast<long>(sent),
+                                c->payload.begin() +
+                                    static_cast<long>(sent + n));
+                        SyscallResult w = c->cli->write(*c->thread, b);
+                        if (w.ok())
+                            sent += static_cast<std::size_t>(w.value);
+                    }
+                    Bytes in;
+                    SyscallResult r = c->peer->read(*c->thread, in, 4096);
+                    if (r.ok() && r.value > 0)
+                        c->got.insert(c->got.end(), in.begin(), in.end());
+                    c->cli->pump();
+                }
+                c->virtualNs = c->thread->clock().now() - v0;
+                return c->virtualNs;
+            });
+        }
+        pool.runAll();
+
+        const iokit::NicStats nic1 = nic->stats();
+        Outcome out;
+        out.nic.txFrames = nic1.txFrames - nic0.txFrames;
+        out.nic.txBytes = nic1.txBytes - nic0.txBytes;
+        out.nic.rxFrames = nic1.rxFrames - nic0.rxFrames;
+        out.nic.rxBytes = nic1.rxBytes - nic0.rxBytes;
+        out.framesRouted = kernel_.net().stats().framesRouted - routed0;
+        for (Conn &c : conns) {
+            EXPECT_EQ(c.got, c.payload);
+            out.virtualNs.push_back(c.virtualNs);
+            ThreadScope scope(*c.thread);
+            c.cli->closed();
+            c.peer->closed();
+        }
+        return out;
+    };
+
+    const Outcome one = run(1);
+    const Outcome four = run(kConns);
+    EXPECT_GT(one.nic.txFrames, 0u);
+    EXPECT_GT(one.nic.txBytes, 0u);
+    EXPECT_EQ(four.nic.txFrames, one.nic.txFrames);
+    EXPECT_EQ(four.nic.txBytes, one.nic.txBytes);
+    EXPECT_EQ(four.nic.rxFrames, one.nic.rxFrames);
+    EXPECT_EQ(four.nic.rxBytes, one.nic.rxBytes);
+    EXPECT_EQ(four.framesRouted, one.framesRouted);
+    EXPECT_EQ(four.virtualNs, one.virtualNs);
+}
+
+// ---------------------------------------------------------------------------
 // The property test: a seeded fault storm over a TCP-lite stream
 // delivers the oracle's exact byte sequence, in order, and two
 // same-seed storm runs agree on the virtual-time bill bit for bit.
@@ -393,21 +549,6 @@ struct TransferOutcome
 class NetStormTest : public NetSocketTest
 {
   protected:
-    static Bytes
-    patternBytes(std::uint64_t seed, std::size_t n)
-    {
-        Bytes out;
-        out.reserve(n);
-        std::uint64_t x = seed | 1;
-        for (std::size_t i = 0; i < n; ++i) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            out.push_back(static_cast<std::uint8_t>(x));
-        }
-        return out;
-    }
-
     TransferOutcome
     runTransfer(std::uint64_t seed, bool storm)
     {
