@@ -7,13 +7,18 @@
  *     concurrent) through the ExecutorPool with admission control,
  *     then hold the per-subsystem p50/p99 + throughput numbers to the
  *     SLO gate profile and the leak audit to zero drift;
- *  2. storm  — the same fleet under composed FaultRail probability
- *     storms, driver kill storms, and the OOM killer: graceful
- *     degradation (retries, watchdog escalation, error exits) with a
- *     still-clean leak audit and no aborts;
- *  3. rail   — seeded SchedRail random sweeps of a small guest fleet,
- *     composed with the fault storm; each seed is run twice on fresh
- *     systems and must produce a bit-identical virtual-time series.
+ *  2. storm  — the seeded fault storm: the same fleet under FaultRail
+ *     probability storms over the whole site catalog, driver kill
+ *     storms, and the OOM killer: graceful degradation (retries,
+ *     watchdog escalation, error exits) with a still-clean leak audit
+ *     and no aborts;
+ *  3. rail   — seeded SchedRail random sweeps of a small fleet of
+ *     sessions, composed with the fault storm; each seed is run twice
+ *     on fresh systems and must produce a bit-identical virtual-time
+ *     series.
+ *
+ * Every phase also fails on a wrong DexLite result: the storm fails
+ * translations, and the interpreter fallback must still be correct.
  *
  * Results land in BENCH_fleet.json (BenchJson schema); failure traces
  * and SLO violations land in BENCH_fleet_traces.txt for CI upload.
@@ -205,7 +210,19 @@ addLedgerMetrics(BenchJson &json, const FleetReport &report)
     json.metric("watchdog_kills",
                 static_cast<double>(report.watchdogKills));
     json.metric("fault_trips", static_cast<double>(report.faultTrips));
+    json.metric("dex_wrong", static_cast<double>(report.dexWrongResults));
     json.metric("audit_clean", report.auditClean ? 1 : 0);
+}
+
+/** The JIT fallback contract: a translation that faults falls back to
+ *  the interpreter and still computes sum(100) == 5050. */
+void
+checkDexResults(const FleetReport &report, const std::string &phase)
+{
+    check(report.dexWrongResults == 0,
+          phase + ": " + std::to_string(report.dexWrongResults) +
+              " wrong DexLite result(s) (JIT fallback contract "
+              "violated)");
 }
 
 void
@@ -234,6 +251,7 @@ scalePhase(const Cli &cli, BenchJson &json)
               " != admission target " + std::to_string(expectPeak));
     check(report.auditClean,
           "scale: leak audit dirty: " + report.auditDetail);
+    checkDexResults(report, "scale");
 
     std::vector<std::string> violations;
     bool slos = core::evaluateSlos(
@@ -281,6 +299,7 @@ stormPhase(const Cli &cli, BenchJson &json)
     // killed or fail, but the machine itself returns to baseline.
     check(report.auditClean,
           "storm: leak audit dirty: " + report.auditDetail);
+    checkDexResults(report, "storm");
 
     json.add("storm", static_cast<double>(report.virtualDurationNs),
              report.hostMs * 1e6);
@@ -322,6 +341,8 @@ railPhase(const Cli &cli, BenchJson &json)
                     "same-seed runs");
         check(!a.railSeries.empty() && a.virtualDurationNs > 0,
               tag + ": guests consumed no virtual time");
+        checkDexResults(a, tag);
+        checkDexResults(b, tag + " (rerun)");
 
         json.add("rail_" + std::to_string(seed),
                  static_cast<double>(a.virtualDurationNs),
@@ -329,6 +350,7 @@ railPhase(const Cli &cli, BenchJson &json)
         json.metric("guests", static_cast<double>(a.railSeries.size()));
         json.metric("decisions", static_cast<double>(a.waves));
         json.metric("fault_trips", static_cast<double>(a.faultTrips));
+        json.metric("dex_wrong", static_cast<double>(a.dexWrongResults));
         json.metric("completed", a.railCompleted ? 1 : 0);
         json.metric("deterministic", a.railSeries == b.railSeries ? 1 : 0);
         json.metric("audit_clean", a.auditClean ? 1 : 0);

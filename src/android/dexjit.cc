@@ -244,7 +244,7 @@ std::unique_ptr<JitMethod>
 DexJit::translate(const DexMethod &method,
                   const hw::DeviceProfile &profile)
 {
-    // The chaos job arms this site: an injected allocation failure
+    // The fleet storm arms this site: an injected allocation failure
     // here means the method simply stays interpreted.
     if (CIDER_FAULT_POINT("dexjit.translate"))
         return nullptr;

@@ -477,9 +477,14 @@ CiderSystem::installIpa(const Bytes &ipa)
         return {};
     }
     std::string dir = "/data/ios-apps/" + package->appName;
-    kernel_->vfs().mkdirAll(dir);
     std::string binary_path = dir + "/" + package->appName;
-    kernel_->vfs().writeFile(binary_path, package->binary);
+    kernel::SyscallResult r = kernel_->vfs().mkdirAll(dir);
+    if (r.ok())
+        r = kernel_->vfs().writeFile(binary_path, package->binary);
+    if (!r.ok()) {
+        warn("installIpa: cannot write ", binary_path, ": errno ", r.err);
+        return {};
+    }
 
     android::Shortcut shortcut;
     shortcut.label = package->appName;

@@ -42,7 +42,7 @@ using kernel::ThreadScope;
 using kernel::TrapClass;
 using kernel::makeArgs;
 
-/** The storm catalog (same sites the chaos soak arms). */
+/** The storm catalog: every site armStorm arms, in both modes. */
 const char *const kFleetSites[] = {
     "zone.alloc",      "kalloc.alloc",     "vfs.lookup",
     "vfs.create",      "mach.port.alloc",  "mach.name.alloc",
@@ -51,6 +51,22 @@ const char *const kFleetSites[] = {
     "signal.deliver",  "dexjit.translate", "vm.allocate",
     "vm.fault",        "nic.drop",         "nic.reorder",
 };
+
+/** Per-site trip probability of the FaultRail storm. */
+constexpr double kStormProbability = 0.02;
+
+/// @{ Backpressure: admission defers while the executor queue or the
+/// Mach port zone sit above these high-water marks.
+constexpr std::uint64_t kQueueHighWater = 4096;
+constexpr std::uint64_t kPortZoneHighWater = 1u << 20;
+/// @}
+
+/// @{ Bounded retry on transient failures (ENOMEM/EAGAIN,
+/// KERN_RESOURCE_SHORTAGE/NO_SPACE, MACH timeouts). Backoff is
+/// exponential in virtual time: kRetryBackoffNs << attempt.
+constexpr int kRetryLimit = 4;
+constexpr std::uint64_t kRetryBackoffNs = 2'000;
+/// @}
 
 const char *const kIosAppPath = "/data/fleet_app_ios";
 const char *const kAndroidAppPath = "/data/fleet_app_android";
@@ -76,7 +92,9 @@ ensureInstalled(CiderSystem &sys)
                                  fleetAppMain);
 }
 
-/** Sum 1..n loop, same shape the chaos soak JITs. sum(100) == 5050. */
+/** Sum 1..n loop, the DexLite method every session JITs.
+ *  sum(100) == 5050; any other result breaks the JIT fallback
+ *  contract. */
 void
 buildSumDex(binfmt::DexFile &file)
 {
@@ -183,10 +201,10 @@ buildReportText(const FleetReport &r, const char *mode)
                   "robustness: deferred %" PRIu64 " retried %" PRIu64
                   " exhausted %" PRIu64 " permanent %" PRIu64
                   " wd-warn %zu wd-kill %zu chld %" PRIu64 " trips %" PRIu64
-                  "\n",
+                  " dex-wrong %" PRIu64 "\n",
                   r.admissionDeferred, r.retriesTransient, r.retriesExhausted,
                   r.permanentErrors, r.watchdogWarnings, r.watchdogKills,
-                  r.chldReceived, r.faultTrips);
+                  r.chldReceived, r.faultTrips, r.dexWrongResults);
     text += line;
     for (const auto &[name, st] : r.subsystems) {
         std::snprintf(line, sizeof line,
@@ -270,7 +288,8 @@ class Engine
         std::map<std::string, SubsystemStats> stats;
     };
 
-    /// @{ Session state machine (run on pool workers).
+    /// @{ Session state machine (run on pool workers, rail guests and
+    /// the warm-up thread).
     std::uint64_t step(Session &s);
     void doLaunch(Session &s, Thread &t);
     void postLaunch(Session &s, Thread &t);
@@ -282,6 +301,8 @@ class Engine
     /// @}
 
     /// @{ Driver-side passes (between waves; no jobs in flight).
+    Session &addSession(std::size_t id, Persona persona,
+                        const std::string &name);
     void admit(kernel::ExecutorPool &pool, std::size_t id);
     void wirePeers();
     void watchdog(Thread &initT);
@@ -290,15 +311,15 @@ class Engine
     void cleanupSessionDir(Thread &t, const std::string &dir);
     /// @}
 
+    void wire(Session &s);
+    void runInline(Session &s);
     void warmupSession(Persona persona);
-    void wireSelf(Session &s);
+    Thread &begin(bool warmIos, std::uint64_t stormSeedBase);
+    FleetReport finish(Thread &initT, bool auditable);
     void armStorm(std::uint64_t seed_base);
     void disarmStorm();
     void foldCounters();
     void mergeStats(Session &s);
-    void railRound(Thread &t, std::size_t idx, int round,
-                   xnu::mach_port_name_t port, const binfmt::DexFile &dex,
-                   android::DalvikVm &vm);
 
     /**
      * Mach trap with bounded retry on transient kern_return codes
@@ -325,12 +346,12 @@ class Engine
                     permanentErrors_.fetch_add(1, std::memory_order_relaxed);
                 return r;
             }
-            if (attempt >= opts_.retryLimit) {
+            if (attempt >= kRetryLimit) {
                 retriesExhausted_.fetch_add(1, std::memory_order_relaxed);
                 return r;
             }
             retriesTransient_.fetch_add(1, std::memory_order_relaxed);
-            charge(opts_.retryBackoffNs << attempt);
+            charge(kRetryBackoffNs << attempt);
         }
     }
 
@@ -346,11 +367,13 @@ class Engine
     CiderSystem &sys_;
     FleetOptions opts_;
     kernel::Kernel &k_;
+    const std::chrono::steady_clock::time_point hostStart_ =
+        std::chrono::steady_clock::now();
     FleetReport report_;
     std::vector<std::unique_ptr<Session>> sessions_;
     Process *init_ = nullptr;
     /** Most recently wired session — the fan-out peer of the next one.
-     *  Only touched between waves. */
+     *  Only touched between waves, or by the one rail guest running. */
     Session *lastLaunched_ = nullptr;
     std::atomic<std::uint64_t> retriesTransient_{0};
     std::atomic<std::uint64_t> retriesExhausted_{0};
@@ -402,11 +425,11 @@ Engine::doLaunch(Session &s, Thread &t)
         r = k_.execLoad(t, path, {path});
         if (r.ok())
             break;
-        if (!transientErrno(r.err) || s.launchAttempts >= opts_.retryLimit)
+        if (!transientErrno(r.err) || s.launchAttempts >= kRetryLimit)
             break;
         ++s.launchAttempts;
         retriesTransient_.fetch_add(1, std::memory_order_relaxed);
-        charge(opts_.retryBackoffNs
+        charge(kRetryBackoffNs
                << static_cast<unsigned>(s.launchAttempts));
     }
     if (!r.ok()) {
@@ -804,59 +827,74 @@ Engine::netBurst(Session &s, Thread &t)
     }
 }
 
-void
-Engine::admit(kernel::ExecutorPool &pool, std::size_t id)
+Engine::Session &
+Engine::addSession(std::size_t id, Persona persona, const std::string &name)
 {
     auto up = std::make_unique<Session>();
     Session &s = *up;
     s.id = id;
     s.vcpu = static_cast<unsigned>(id % k_.percpu().count());
-    s.persona = (id % 2 == 0) ? Persona::Ios : Persona::Android;
+    s.persona = persona;
     s.rng = Rng((opts_.seed << 16) ^ (id * 0x9e3779b97f4a7c15ULL + 1));
-    s.proc = &k_.createProcess("fleet.s" + std::to_string(id), s.persona,
-                               init_);
+    s.proc = &k_.createProcess(name, s.persona, init_);
     ++report_.sessionsStarted;
-    Session *raw = &s;
-    pool.submitOn(s.vcpu, [this, raw] { return step(*raw); },
-                  "fleet.launch");
     sessions_.push_back(std::move(up));
+    return s;
+}
+
+void
+Engine::admit(kernel::ExecutorPool &pool, std::size_t id)
+{
+    Session *raw =
+        &addSession(id, (id % 2 == 0) ? Persona::Ios : Persona::Android,
+                    "fleet.s" + std::to_string(id));
+    pool.submitOn(raw->vcpu, [this, raw] { return step(*raw); },
+                  "fleet.launch");
 }
 
 void
 Engine::wirePeers()
 {
+    for (auto &up : sessions_)
+        if (!up->wired && up->phase != Phase::Launching &&
+            up->phase != Phase::Done)
+            wire(*up);
+}
+
+/**
+ * The fan-out chain rule for one launched session: a send right to
+ * the mailbox of the most recently wired live session (its own when
+ * there is none), after which it is the next session's peer.
+ */
+void
+Engine::wire(Session &s)
+{
+    if (!s.proc || s.proc->state() != Process::State::Running)
+        return;
+    s.wired = true;
+    if (s.selfPort == xnu::MACH_PORT_NULL)
+        return;
     xnu::MachIpc &ipc = sys_.machIpc();
-    for (auto &up : sessions_) {
-        Session &s = *up;
-        if (s.wired || s.phase == Phase::Launching ||
-            s.phase == Phase::Done)
-            continue;
-        if (!s.proc || s.proc->state() != Process::State::Running)
-            continue;
-        s.wired = true;
-        if (s.selfPort == xnu::MACH_PORT_NULL)
-            continue;
-        Session *peer = &s; // self-wire until a chain partner exists
-        if (lastLaunched_ && lastLaunched_ != &s && lastLaunched_->proc &&
-            lastLaunched_->proc->state() == Process::State::Running &&
-            lastLaunched_->selfPort != xnu::MACH_PORT_NULL)
-            peer = lastLaunched_;
-        xnu::MachTaskState &peerTask = xnu::machTask(ipc, *peer->proc);
-        xnu::MachTaskState &ownTask = xnu::machTask(ipc, *s.proc);
-        xnu::PortPtr port;
-        if (peerTask.space &&
-            ipc.portLookup(*peerTask.space, peer->selfPort, &port) ==
-                xnu::KERN_SUCCESS &&
-            ownTask.space) {
-            xnu::mach_port_name_t name = xnu::MACH_PORT_NULL;
-            if (ipc.insertSendRight(*ownTask.space, port, &name) ==
-                xnu::KERN_SUCCESS) {
-                s.peerSend = name;
-                s.peerPid = peer->proc->pid();
-            }
+    Session *peer = &s; // self-wire until a chain partner exists
+    if (lastLaunched_ && lastLaunched_ != &s && lastLaunched_->proc &&
+        lastLaunched_->proc->state() == Process::State::Running &&
+        lastLaunched_->selfPort != xnu::MACH_PORT_NULL)
+        peer = lastLaunched_;
+    xnu::MachTaskState &peerTask = xnu::machTask(ipc, *peer->proc);
+    xnu::MachTaskState &ownTask = xnu::machTask(ipc, *s.proc);
+    xnu::PortPtr port;
+    if (peerTask.space &&
+        ipc.portLookup(*peerTask.space, peer->selfPort, &port) ==
+            xnu::KERN_SUCCESS &&
+        ownTask.space) {
+        xnu::mach_port_name_t name = xnu::MACH_PORT_NULL;
+        if (ipc.insertSendRight(*ownTask.space, port, &name) ==
+            xnu::KERN_SUCCESS) {
+            s.peerSend = name;
+            s.peerPid = peer->proc->pid();
         }
-        lastLaunched_ = &s;
     }
+    lastLaunched_ = &s;
 }
 
 void
@@ -987,25 +1025,23 @@ Engine::mergeStats(Session &s)
     s.stats.clear();
 }
 
+/**
+ * Step @p s to completion on the calling thread, wiring it into the
+ * fan-out chain at its first Foreground step — the warm-up session and
+ * every rail guest run this way. A rail guest's SchedRailAbort passes
+ * straight through: step() catches only ProcessExit.
+ */
 void
-Engine::wireSelf(Session &s)
+Engine::runInline(Session &s)
 {
-    if (s.wired || !s.proc || s.selfPort == xnu::MACH_PORT_NULL)
-        return;
-    xnu::MachIpc &ipc = sys_.machIpc();
-    xnu::MachTaskState &task = xnu::machTask(ipc, *s.proc);
-    xnu::PortPtr port;
-    if (task.space &&
-        ipc.portLookup(*task.space, s.selfPort, &port) ==
-            xnu::KERN_SUCCESS) {
-        xnu::mach_port_name_t name = xnu::MACH_PORT_NULL;
-        if (ipc.insertSendRight(*task.space, port, &name) ==
-            xnu::KERN_SUCCESS) {
-            s.peerSend = name;
-            s.peerPid = s.proc->pid();
-        }
+    for (int guard = opts_.rounds * 4 + 8;
+         guard > 0 && s.proc->state() == Process::State::Running &&
+         s.phase != Phase::Done;
+         --guard) {
+        step(s);
+        if (s.phase == Phase::Foreground && !s.wired)
+            wire(s);
     }
-    s.wired = true;
 }
 
 void
@@ -1024,16 +1060,80 @@ Engine::warmupSession(Persona persona)
     s.proc = &k_.createProcess(
         persona == Persona::Ios ? "fleet.warm_ios" : "fleet.warm_android",
         persona, nullptr);
-    int guard = opts_.rounds * 4 + 8;
-    while (guard-- > 0 && s.proc->state() == Process::State::Running &&
-           s.phase != Phase::Done) {
-        step(s);
-        if (s.phase == Phase::Foreground && !s.wired)
-            wireSelf(s);
-    }
+    runInline(s); // self-wired: no other session is live yet
+    lastLaunched_ = nullptr;
     kernel::Pid pid = s.proc->pid();
     s.proc = nullptr;
     k_.reapProcess(pid); // orphan corpse: direct init-style reap
+}
+
+/**
+ * The prologue both modes share: install the apps, warm up, take the
+ * before-snapshot, start the init-reaper every session is parented
+ * to, and arm the storm when asked. Returns init's main thread.
+ */
+Thread &
+Engine::begin(bool warmIos, std::uint64_t stormSeedBase)
+{
+    ensureInstalled(sys_);
+    if (warmIos)
+        warmupSession(Persona::Ios);
+    warmupSession(Persona::Android);
+    k_.sweepReaped();
+    report_.before = takeLeakSnapshot(sys_);
+
+    init_ = &k_.createProcess("fleet.init", Persona::Android, nullptr);
+    Thread &initT = init_->mainThread();
+    {
+        ThreadScope scope(initT);
+        kernel::SignalAction act;
+        act.kind = kernel::SignalAction::Kind::Handler;
+        std::atomic<std::uint64_t> *chld = &chld_;
+        act.fn = [chld](int, const kernel::SigInfo &) {
+            chld->fetch_add(1, std::memory_order_relaxed);
+        };
+        k_.sysSigaction(initT, kernel::lsig::CHLD, act);
+    }
+
+    if (opts_.storm)
+        armStorm(stormSeedBase);
+    return initT;
+}
+
+/** The shared epilogue: retire init, disarm, audit, fold counters.
+ *  @p auditable is false when a rail abort left poisoned guests. */
+FleetReport
+Engine::finish(Thread &initT, bool auditable)
+{
+    // Init drains its last SIGCHLDs, exits, and is reaped.
+    {
+        ThreadScope scope(initT);
+        k_.checkPendingSignals(initT);
+        try {
+            k_.sysExit(initT, 0);
+        } catch (const ProcessExit &) {
+        }
+    }
+    k_.reapProcess(init_->pid());
+    init_ = nullptr;
+
+    if (opts_.storm)
+        disarmStorm();
+    k_.sweepReaped();
+    report_.after = takeLeakSnapshot(sys_);
+    if (auditable) {
+        report_.auditClean = leakAuditClean(report_.before, report_.after,
+                                            &report_.auditDetail);
+    } else {
+        report_.auditClean = false;
+        report_.auditDetail =
+            "rail episode aborted; poisoned guests left in place";
+    }
+    foldCounters();
+    report_.hostMs = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - hostStart_)
+                         .count();
+    return report_;
 }
 
 void
@@ -1047,8 +1147,11 @@ Engine::armStorm(std::uint64_t seed_base)
     rail.setTracking(true);
     std::uint64_t idx = 0;
     for (const char *site : kFleetSites)
-        rail.armProbability(site, opts_.stormProbability,
-                            seed_base + idx++);
+        rail.armProbability(site, kStormProbability, seed_base + idx++);
+    // Each session translates "sum" once, so 2% would rarely trip the
+    // site; every 3rd translation failing makes each storm prove the
+    // interpreter fallback (checked as dexWrongResults == 0).
+    rail.armEveryK("dexjit.translate", 3);
 }
 
 void
@@ -1073,42 +1176,14 @@ Engine::foldCounters()
     report_.permanentErrors =
         permanentErrors_.load(std::memory_order_relaxed);
     report_.chldReceived = chld_.load(std::memory_order_relaxed);
-    std::uint64_t wrong = dexWrong_.load(std::memory_order_relaxed);
-    if (wrong > 0)
-        report_.failureTraces.push_back(
-            "dex: " + std::to_string(wrong) +
-            " wrong results (JIT fallback contract violated)");
+    report_.dexWrongResults = dexWrong_.load(std::memory_order_relaxed);
 }
 
 FleetReport
 Engine::runScale()
 {
-    auto hostStart = std::chrono::steady_clock::now();
-    ensureInstalled(sys_);
-    warmupSession(Persona::Ios);
-    warmupSession(Persona::Android);
-    k_.sweepReaped();
-    report_.before = takeLeakSnapshot(sys_);
-
-    init_ = &k_.createProcess("fleet.init", Persona::Android, nullptr);
-    Thread &initT = init_->mainThread();
-    {
-        ThreadScope scope(initT);
-        kernel::SignalAction act;
-        act.kind = kernel::SignalAction::Kind::Handler;
-        std::atomic<std::uint64_t> *chld = &chld_;
-        act.fn = [chld](int, const kernel::SigInfo &) {
-            chld->fetch_add(1, std::memory_order_relaxed);
-        };
-        k_.sysSigaction(initT, kernel::lsig::CHLD, act);
-    }
-
-    if (opts_.storm)
-        armStorm(opts_.seed * 1000);
-
-    kernel::ExecutorPool pool(
-        k_.percpu(),
-        opts_.hostThreads != 0 ? opts_.hostThreads : k_.percpu().count());
+    Thread &initT = begin(true, opts_.seed * 1000);
+    kernel::ExecutorPool pool(k_.percpu(), k_.percpu().count());
 
     std::size_t spawned = 0;
     std::size_t live = 0;
@@ -1134,9 +1209,9 @@ Engine::runScale()
         // Admission control: top the fleet up to maxActive unless the
         // run queues or the port zone are saturated.
         while (spawned < opts_.sessions && live < opts_.maxActive) {
-            if (pool.queuedJobs() >= opts_.queueHighWater ||
+            if (pool.queuedJobs() >= kQueueHighWater ||
                 sys_.machIpc().portZoneStats().live >=
-                    opts_.portZoneHighWater) {
+                    kPortZoneHighWater) {
                 ++report_.admissionDeferred;
                 break;
             }
@@ -1165,212 +1240,37 @@ Engine::runScale()
             break;
         }
     }
-
-    // Teardown: init drains its last SIGCHLDs, exits, and is reaped.
-    {
-        ThreadScope scope(initT);
-        k_.checkPendingSignals(initT);
-        try {
-            k_.sysExit(initT, 0);
-        } catch (const ProcessExit &) {
-        }
-    }
-    k_.reapProcess(init_->pid());
-    init_ = nullptr;
-
-    if (opts_.storm)
-        disarmStorm();
-    k_.sweepReaped();
-    report_.after = takeLeakSnapshot(sys_);
-    report_.auditClean = leakAuditClean(report_.before, report_.after,
-                                        &report_.auditDetail);
-    foldCounters();
-    report_.hostMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - hostStart)
-            .count();
-    return report_;
-}
-
-void
-Engine::railRound(Thread &t, std::size_t idx, int round,
-                  xnu::mach_port_name_t port, const binfmt::DexFile &dex,
-                  android::DalvikVm &vm)
-{
-    // Paths key off the guest *index*, never the pid: two same-seed
-    // runs on fresh systems must charge identical costs.
-    std::string dir = "/data/fleet_rail" + std::to_string(idx);
-    k_.sysMkdir(t, dir);
-    std::string path = dir + "/f" + std::to_string(round);
-    SyscallResult fd =
-        k_.sysOpen(t, path, kernel::oflag::WRONLY | kernel::oflag::CREAT);
-    if (fd.ok()) {
-        k_.sysWrite(t, static_cast<kernel::Fd>(fd.value), Bytes{1, 2, 3, 4});
-        k_.sysClose(t, static_cast<kernel::Fd>(fd.value));
-    }
-    k_.sysUnlink(t, path);
-    k_.sysRmdir(t, dir);
-
-    // The guests are Android/ELF; their Mach segments are diplomatic
-    // blocks just like the scale fleet's.
-    PersonaGuard diplomat(sys_.personaManager(), t, Persona::Ios);
-    if (port != xnu::MACH_PORT_NULL) {
-        xnu::MachMessage msg;
-        msg.header.remotePort = port;
-        msg.header.remoteDisposition = xnu::MsgDisposition::MakeSend;
-        msg.header.msgId = 7100 + round;
-        xnu::OolDescriptor ool;
-        ool.data = Bytes(static_cast<std::size_t>(128),
-                         static_cast<std::uint8_t>(round));
-        msg.ool.push_back(std::move(ool));
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::MACH_MSG,
-                makeArgs(static_cast<void *>(&msg), xnu::machmsg::SEND,
-                         std::uint64_t{0}, static_cast<void *>(nullptr)));
-        xnu::MachMessage rcv;
-        SyscallResult r = k_.trap(
-            t, TrapClass::XnuMach, xnu::machno::MACH_MSG,
-            makeArgs(static_cast<void *>(nullptr),
-                     xnu::machmsg::RCV | xnu::machmsg::RCV_TIMEOUT,
-                     static_cast<std::uint64_t>(port),
-                     static_cast<void *>(&rcv), std::uint64_t{50'000}));
-        if (r.ok() && r.value == xnu::KERN_SUCCESS && !rcv.ool.empty() &&
-            rcv.ool[0].address != 0) {
-            Bytes poke{9, 9};
-            k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_WRITE,
-                    makeArgs(rcv.ool[0].address,
-                             static_cast<const Bytes *>(&poke)));
-            k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_DEALLOCATE,
-                    makeArgs(rcv.ool[0].address));
-        }
-    }
-
-    std::uint64_t vmaddr = 0;
-    SyscallResult va =
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_ALLOCATE,
-                makeArgs(std::uint64_t{8192}, static_cast<void *>(&vmaddr)));
-    if (va.ok() && va.value == xnu::KERN_SUCCESS && vmaddr != 0) {
-        Bytes pattern{5, 6, 7, 8};
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_WRITE,
-                makeArgs(vmaddr, static_cast<const Bytes *>(&pattern)));
-        Bytes back;
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_READ,
-                makeArgs(vmaddr, std::uint64_t{4},
-                         static_cast<Bytes *>(&back)));
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_DEALLOCATE,
-                makeArgs(vmaddr));
-    }
-
-    // One semaphore shared across all guests and one private. The
-    // shared one is wait-THEN-signal: whether a guest's wait consumes
-    // a peer's earlier signal or burns its timeout depends on the
-    // schedule, so different rail seeds produce genuinely different
-    // virtual-time series (same seed still reproduces bit-for-bit).
-    k_.trap(t, TrapClass::XnuMach, xnu::machno::SEMAPHORE_WAIT,
-            makeArgs(std::uint64_t{0xF1EE7}, std::uint64_t{40'000}));
-    k_.trap(t, TrapClass::XnuMach, xnu::machno::SEMAPHORE_SIGNAL,
-            makeArgs(std::uint64_t{0xF1EE7}));
-    std::uint64_t psem = (static_cast<std::uint64_t>(idx + 1) << 24) |
-                         static_cast<std::uint64_t>(round);
-    k_.trap(t, TrapClass::XnuMach, xnu::machno::SEMAPHORE_SIGNAL,
-            makeArgs(psem));
-    k_.trap(t, TrapClass::XnuMach, xnu::machno::SEMAPHORE_WAIT,
-            makeArgs(psem, std::uint64_t{25'000}));
-
-    // Synchronous self-poke through the hardened delivery path.
-    k_.sysKill(t, t.process().pid(), kernel::lsig::USR1);
-
-    if ((round + static_cast<int>(idx)) % 2 == 0) {
-        android::DexVal r = vm.run(dex, "sum", {std::int64_t{100}});
-        if (android::dexI(r) != 5050)
-            dexWrong_.fetch_add(1, std::memory_order_relaxed);
-    }
+    return finish(initT, true);
 }
 
 FleetReport
 Engine::runRailed(std::uint64_t seed, std::size_t n)
 {
-    auto hostStart = std::chrono::steady_clock::now();
     n = std::min<std::size_t>(std::max<std::size_t>(n, 1), 8);
-    ensureInstalled(sys_);
     // Rail guests are Android/ELF only: the iOS dyld bootstrap holds
     // the shared-region mutex across work that contains rail yield
     // points, which would deadlock the host under an armed rail. The
     // rail-relevant subsystems — Mach IPC, psynch, waitq, zones, the
     // trap boundary — are all exercised by the Android path.
-    warmupSession(Persona::Android);
-    k_.sweepReaped();
-    report_.before = takeLeakSnapshot(sys_);
-
-    if (opts_.storm) {
-        FaultRail &frail = FaultRail::global();
-        frail.disarmAll();
-        frail.resetCounters();
-        frail.setTracking(true);
-        std::uint64_t idx = 0;
-        for (const char *site : kFleetSites)
-            frail.armProbability(site, opts_.stormProbability,
-                                 seed * 997 + idx++);
-    }
-
-    std::vector<std::uint64_t> series(n, 0);
-    std::vector<kernel::Pid> pids(n, -1);
-    std::vector<std::string> names;
-    names.reserve(n);
+    Thread &initT = begin(false, seed * 997);
     for (std::size_t i = 0; i < n; ++i)
-        names.push_back("fleet.rail" + std::to_string(i));
+        addSession(i, Persona::Android, "fleet.rail" + std::to_string(i));
 
+    // The guests run the scale fleet's state machine. Schedule
+    // sensitivity comes from the fan-out chain: which guest wires to
+    // which mailbox, and whether a drain finds the peer's message or a
+    // send finds the peer already gone, depends on the interleaving.
+    std::vector<std::uint64_t> series(n, 0);
     kernel::SchedRail &rail = kernel::SchedRail::global();
     kernel::SchedOptions sopt;
     sopt.policy = kernel::SchedPolicy::Random;
     sopt.seed = seed;
     rail.arm(sopt);
     for (std::size_t i = 0; i < n; ++i) {
-        rail.spawn(names[i].c_str(), [this, i, &series, &pids] {
-            Process &proc = k_.createProcess(
-                "fleet.rail" + std::to_string(i), Persona::Android,
-                nullptr);
-            pids[i] = proc.pid();
-            Thread &t = proc.mainThread();
-            // Only ProcessExit is caught: a SchedRailAbort must reach
-            // the rail's guest wrapper or deadlock recovery breaks.
-            try {
-                ThreadScope scope(t);
-                SyscallResult r =
-                    k_.execLoad(t, kAndroidAppPath, {kAndroidAppPath});
-                if (!r.ok())
-                    k_.sysExit(t, 127);
-                if (proc.image().entry)
-                    proc.image().entry(t);
-                int pokes = 0;
-                kernel::SignalAction act;
-                act.kind = kernel::SignalAction::Kind::Handler;
-                act.fn = [&pokes](int, const kernel::SigInfo &) {
-                    ++pokes;
-                };
-                k_.sysSigaction(t, kernel::lsig::USR1, act);
-                xnu::mach_port_name_t port = xnu::MACH_PORT_NULL;
-                {
-                    PersonaGuard diplomat(sys_.personaManager(), t,
-                                          Persona::Ios);
-                    k_.trap(t, TrapClass::XnuMach,
-                            xnu::machno::PORT_ALLOCATE,
-                            makeArgs(static_cast<std::uint64_t>(
-                                         xnu::PortRight::Receive),
-                                     static_cast<void *>(&port)));
-                }
-                binfmt::DexFile dex;
-                buildSumDex(dex);
-                android::TranslationCache cache;
-                android::DalvikVm vm(sys_.profile());
-                vm.setTranslationCache(&cache);
-                vm.setJitEnabled(true);
-                vm.setJitWarmup(0);
-                for (int round = 0; round < 4; ++round)
-                    railRound(t, i, round, port, dex, vm);
-                k_.sysExit(t, 0);
-            } catch (const ProcessExit &) {
-            }
-            series[i] = t.clock().now();
+        Session *s = sessions_[i].get();
+        rail.spawn(s->proc->name().c_str(), [this, s, &series] {
+            runInline(*s);
+            series[s->id] = s->proc->mainThread().clock().now();
         });
     }
     kernel::SchedResult res = rail.run();
@@ -1379,47 +1279,16 @@ Engine::runRailed(std::uint64_t seed, std::size_t n)
     report_.railCompleted = res.completed;
     report_.railDeadlocked = res.deadlocked;
     report_.waves = res.decisions;
-    report_.sessionsStarted = n;
-    report_.sessionsCompleted = res.completed ? n : 0;
     if (res.deadlocked)
         for (const std::string &b : res.blockedThreads)
             report_.failureTraces.push_back("rail deadlock: " + b);
-
-    if (opts_.storm) {
-        FaultRail &frail = FaultRail::global();
-        report_.faultTrips = frail.totalTrips();
-        frail.disarmAll();
-        frail.setTracking(false);
-        frail.resetCounters();
-    }
-
-    if (res.completed) {
-        for (kernel::Pid pid : pids)
-            if (pid > 0)
-                k_.reapProcess(pid);
-    }
-    k_.sweepReaped();
-
     report_.railSeries = series;
-    std::uint64_t maxNs = 0;
-    for (std::uint64_t ns : series)
-        maxNs = std::max(maxNs, ns);
-    report_.virtualDurationNs = maxNs;
-    report_.after = takeLeakSnapshot(sys_);
-    if (res.completed) {
-        report_.auditClean = leakAuditClean(report_.before, report_.after,
-                                            &report_.auditDetail);
-    } else {
-        report_.auditClean = false;
-        report_.auditDetail =
-            "rail episode aborted; poisoned guests left in place";
-    }
-    foldCounters();
-    report_.hostMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - hostStart)
-            .count();
-    return report_;
+    report_.virtualDurationNs =
+        *std::max_element(series.begin(), series.end());
+
+    if (res.completed)
+        reapPass(initT, nullptr);
+    return finish(initT, res.completed);
 }
 
 } // namespace

@@ -179,7 +179,7 @@ void waitq_wakeup_one(WaitQ *wq);
 /**
  * Host milliseconds a deadline wait parks before concluding no wakeup
  * is coming. The default (100 ms) is far above any same-machine
- * wakeup latency; tests and the chaos bench lower it to keep timeout
+ * wakeup latency; tests and the fleet storm lower it to keep timeout
  * storms fast. Deterministic in virtual time either way: the grace
  * interval only decides *when in host time* the timeout is taken, the
  * virtual clock always lands exactly on the deadline.

@@ -2,8 +2,9 @@
  * @file
  * FleetSoak tests: the kill-storm teardown regression (no zombies, no
  * leaked ports/VmObjects/zone elements after storms), admission
- * backpressure, bounded retry, watchdog escalation, the railed
- * determinism contract, the /proc/cider/fleet surface, and the
+ * backpressure, bounded retry, watchdog escalation, the JIT fallback
+ * contract under storm, the railed determinism contract (storm on and
+ * off), the /proc/cider/fleet surface, and the
  * percentile/audit/SLO helpers.
  */
 
@@ -180,6 +181,9 @@ TEST(FleetSoakTest, KillStormTeardownLeaksNothing)
               report.sessionsStarted);
     EXPECT_GT(report.sessionsKilled, 0u);
     EXPECT_GT(report.faultTrips, 0u);
+    // Every storm fails translations; the interpreter fallback must
+    // still compute every result correctly.
+    EXPECT_EQ(report.dexWrongResults, 0u);
     EXPECT_TRUE(report.auditClean) << report.auditDetail;
     EXPECT_EQ(report.after.value("zombies"), 0u);
     EXPECT_EQ(report.after.value("ports"), report.before.value("ports"));
@@ -238,10 +242,17 @@ TEST(FleetSoakTest, WatchdogEscalatesWarnToKill)
     EXPECT_TRUE(report.auditClean) << report.auditDetail;
 }
 
-TEST(FleetSoakTest, RailedSweepIsDeterministicAcrossFreshSystems)
+/**
+ * Same rail seed on two fresh systems, same virtual-time series. With
+ * @p storm the fault storm is composed with the rail; without it every
+ * fault site the sessions reach is registered but disarmed, which must
+ * cost nothing.
+ */
+void
+expectRailedSweepDeterministic(bool storm)
 {
     FleetOptions opts = smallFleet();
-    opts.storm = true; // compose the fault storm with the rail
+    opts.storm = storm;
     FleetReport a, b;
     {
         CiderSystem sys(ciderOptions());
@@ -264,6 +275,16 @@ TEST(FleetSoakTest, RailedSweepIsDeterministicAcrossFreshSystems)
     EXPECT_GT(a.waves, 0u); // rail decisions were actually made
 }
 
+TEST(FleetSoakTest, RailedSweepIsDeterministicAcrossFreshSystems)
+{
+    expectRailedSweepDeterministic(true);
+}
+
+TEST(FleetSoakTest, RailedSweepIsDeterministicWithTheStormOff)
+{
+    expectRailedSweepDeterministic(false);
+}
+
 TEST(FleetSoakTest, DifferentRailSeedsDiverge)
 {
     FleetOptions opts = smallFleet();
@@ -280,9 +301,9 @@ TEST(FleetSoakTest, DifferentRailSeedsDiverge)
     }
     EXPECT_TRUE(a.railCompleted);
     EXPECT_TRUE(b.railCompleted);
-    // Different schedules interleave the shared semaphore differently;
-    // a bit-identical series across seeds would mean the rail is not
-    // actually steering.
+    // Different schedules wire the fan-out chain and interleave its
+    // sends and drains differently; a bit-identical series across
+    // seeds would mean the rail is not actually steering.
     EXPECT_NE(a.railSeries, b.railSeries);
 }
 

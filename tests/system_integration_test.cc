@@ -17,6 +17,8 @@
 #include "ios/libsystem.h"
 #include "ios/services.h"
 #include "ios/uikit.h"
+#include "kernel/fault_rail.h"
+#include "kernel/file.h"
 
 namespace cider {
 namespace {
@@ -306,6 +308,86 @@ TEST(SystemIntegration, IosAppsSeeOverlaidFilesystem)
     EXPECT_EQ(rc, 0);
     // The overlay landed the file in the Android-side hierarchy.
     EXPECT_TRUE(sys.kernel().vfs().exists("/data/ios/Documents/note.txt"));
+}
+
+/** The app inside the storm test's .ipa: one file create, exit 0. */
+int
+probeAppMain(binfmt::UserEnv &env)
+{
+    kernel::SyscallResult fd =
+        env.kernel.sysOpen(env.thread, "/tmp/ipa_probe",
+                           kernel::oflag::WRONLY | kernel::oflag::CREAT);
+    if (fd.ok())
+        env.kernel.sysClose(env.thread, static_cast<kernel::Fd>(fd.value));
+    return 0;
+}
+
+Bytes
+probeIpa()
+{
+    core::IpaPackage package;
+    package.appName = "ProbeApp";
+    binfmt::MachOBuilder builder(binfmt::MachOFileType::Execute);
+    builder.entry("probe.main")
+        .codegen(hw::Codegen::XcodeClang)
+        .segment("__TEXT", 8)
+        .dylib("libSystem.dylib");
+    package.binary = builder.build();
+    package.icon = Bytes{9, 9, 9};
+    package.infoPlist["CFBundleIdentifier"] = "com.test.probe";
+    return core::buildIpa(package);
+}
+
+/**
+ * Installing and running an .ipa while the sites an install touches
+ * fail at seeded probability: every try ends in a rejected package or
+ * an exit code (never an escaped exception), and once the storm is
+ * disarmed a clean install runs to exit 0 on the same system.
+ */
+TEST(SystemIntegration, IpaInstallUnderFaultStormFailsCleanly)
+{
+    setLogQuiet(true);
+    kernel::FaultRail &rail = kernel::FaultRail::global();
+    int rejected = 0; // installs that reported the failed write
+    for (std::uint64_t seed : {101u, 202u, 303u}) {
+        SCOPED_TRACE(seed);
+        SystemOptions opts;
+        opts.config = SystemConfig::CiderIos;
+        CiderSystem sys(opts);
+        sys.programs().add("probe.main", probeAppMain);
+        sys.kernel().setOomKillEnabled(true);
+
+        rail.disarmAll();
+        rail.resetCounters();
+        rail.setTracking(true);
+        std::uint64_t idx = 0;
+        for (const char *site : {"vfs.lookup", "vfs.create", "binfmt.macho",
+                                 "zone.alloc", "kalloc.alloc"})
+            rail.armProbability(site, 0.25, seed * 1000 + idx++);
+        int failed = 0;
+        for (int run = 0; run < 8; ++run) {
+            EXPECT_NO_THROW({
+                std::string app = sys.installIpa(probeIpa());
+                if (app.empty())
+                    ++rejected;
+                if (app.empty() || sys.runProgram(app) != 0)
+                    ++failed;
+            });
+        }
+        std::uint64_t trips = rail.totalTrips();
+        rail.disarmAll();
+        rail.setTracking(false);
+        rail.resetCounters();
+        sys.kernel().setOomKillEnabled(false);
+        EXPECT_GT(trips, 0u);
+        EXPECT_GT(failed, 0); // the storm reached the install or the run
+
+        std::string app = sys.installIpa(probeIpa());
+        ASSERT_FALSE(app.empty());
+        EXPECT_EQ(sys.runProgram(app), 0);
+    }
+    EXPECT_GT(rejected, 0);
+    setLogQuiet(false);
 }
 
 } // namespace
